@@ -1,27 +1,22 @@
-//! Session-pipeline bench: serial vs batched stepping throughput.
+//! Session-pipeline micro-bench: serial steps/sec on the plain datapath
+//! and on the finite-queue datapath.
 //!
 //! Not a criterion bench — a custom harness that steps the same 32
-//! sessions to completion serially (plain `session.step()` loops) and
-//! at lockstep batch widths 1, 4, 8, 16 and 32
-//! ([`rdsim_core::SessionBatch`], which routes eligible sessions through
-//! the stage-major SoA sweep), prints the per-width steps/sec curve,
-//! re-checks that every width reproduces the serial run-log digests bit
-//! for bit, and writes a machine-readable `BENCH_session.json` at the
-//! workspace root. The recorded numbers are honest medians on whatever
-//! hardware ran the bench; `available_parallelism` is recorded next to
-//! them because batching amortizes per-run overhead and cache misses,
-//! not cores — on any machine the digests must match, which is the
-//! check that matters.
+//! scripted-operator sessions to completion one after another through
+//! `RdsSession::step`, once with plain fault windows and once with every
+//! fault window carrying a rate limit. The two variants are sampled in
+//! interleaved pairs (alternating which goes first) so slow drift on the
+//! host lands on both alike; each variant's median, min and max wall time
+//! is recorded in `BENCH_session.json` at the workspace root, next to
+//! `available_parallelism`. Every sample must reproduce its variant's
+//! reference run-log digests bit for bit.
 //!
-//! `soa_speedup` compares batch-8 throughput against the pre-SoA
-//! engine's measured ~57k steps/sec on the reference container and is
-//! gated in-bench: the data-oriented refactor must keep paying for
-//! itself or this bench fails.
+//! The scenario is an empty map with no NPC traffic, so the numbers
+//! measure the stage pipeline, not the paper's workload (that is what
+//! `rdbench` measures).
 
 use rdsim_bench::report::{Group, Report};
-use rdsim_core::{
-    Digestible, FixedRun, PaperFault, RdsSession, RdsSessionConfig, ScriptedOperator, SessionBatch,
-};
+use rdsim_core::{Digestible, PaperFault, RdsSession, RdsSessionConfig, ScriptedOperator};
 use rdsim_netem::InjectionWindow;
 use rdsim_roadnet::town05;
 use rdsim_simulator::{CameraConfig, World};
@@ -29,38 +24,25 @@ use rdsim_units::{Hertz, SimDuration, SimTime};
 use rdsim_vehicle::{ControlInput, VehicleSpec};
 use std::time::Instant;
 
-/// Timed samples per batch size (median reported).
-const SAMPLES: usize = 3;
+/// Interleaved (plain, rate-limited) sample pairs.
+const PAIRS: usize = 9;
 /// Sessions stepped per sample.
 const SESSIONS: usize = 32;
 /// Steps per session (20 s of sim time at 50 Hz).
 const STEPS: u64 = 1_000;
-/// Lockstep widths the curve is measured at.
-const WIDTHS: [usize; 5] = [1, 4, 8, 16, 32];
-/// Steps/sec of the pre-SoA engine (per-session stepping, same
-/// scenario) on the reference single-core container — the fixed
-/// baseline `soa_speedup` is measured against.
-const PRE_SOA_STEPS_PER_SEC: f64 = 57_000.0;
-/// In-bench gate: batch-8 must beat the pre-SoA baseline by at least
-/// this factor.
-const MIN_SOA_SPEEDUP: f64 = 2.0;
-/// In-bench gate for the finite-queue datapath: the same batch-8 sweep
-/// with every fault window carrying a rate limit — so the BDP-sized
-/// queue, its tail-drop accounting and the serialization clock are live
-/// for the whole window — may take at most this factor of the plain
-/// batch-8 wall time. The limit check itself is one branch per enqueue;
-/// the headroom is for the rate path it enables.
+/// In-bench gate for the finite-queue datapath: with every fault window
+/// carrying a rate limit — so the BDP-sized queue, its tail-drop
+/// accounting and the serialization clock are live for the whole window
+/// — the median sample may take at most this factor of the plain median.
+/// The limit check itself is one branch per enqueue; the headroom is for
+/// the rate path it enables.
 const MAX_QUEUE_OVERHEAD: f64 = 1.4;
-/// Rate attached to the fault windows of the queue-overhead sweep:
+/// Rate attached to the fault windows of the rate-limited variant:
 /// 1 Mbit/s against 400 kbit/s of video oversubscribes nothing, but
 /// keeps the serialization clock and finite-limit check on every packet.
 const QUEUE_SWEEP_RATE: u64 = 1_000_000;
 
-fn session(i: usize) -> RdsSession {
-    session_with(i, false)
-}
-
-fn session_with(i: usize, rate_limited: bool) -> RdsSession {
+fn session(i: usize, rate_limited: bool) -> RdsSession {
     let seed = 1_000 + i as u64;
     let mut world = World::new(town05(), seed);
     world.spawn_ego_at("ego-start", VehicleSpec::passenger_car());
@@ -69,9 +51,7 @@ fn session_with(i: usize, rate_limited: bool) -> RdsSession {
         ..RdsSessionConfig::default()
     };
     let mut s = RdsSession::new(world, config, seed);
-    // Exercise the netem stages: a real fault window mid-run. The
-    // queue-overhead sweep adds a rate so the window runs the finite
-    // BDP-sized queue and the serialization clock on every packet.
+    // Exercise the netem stages: a real fault window mid-run.
     let mut fault = PaperFault::ALL[i % PaperFault::ALL.len()].config();
     if rate_limited {
         fault = fault.with_rate(QUEUE_SWEEP_RATE);
@@ -89,13 +69,13 @@ fn operator(i: usize) -> ScriptedOperator {
     ScriptedOperator::constant(ControlInput::new(0.25 + (i % 4) as f64 * 0.05, 0.0, 0.0))
 }
 
-/// Steps all `SESSIONS` sessions to completion one at a time through the
-/// plain serial path; returns (wall secs, per-session run-log digests).
-fn run_serial() -> (f64, Vec<u64>) {
+/// Steps all `SESSIONS` sessions to completion one at a time; returns
+/// (wall secs, per-session run-log digests).
+fn run(rate_limited: bool) -> (f64, Vec<u64>) {
     let start = Instant::now();
     let mut digests = Vec::with_capacity(SESSIONS);
     for i in 0..SESSIONS {
-        let mut s = session(i);
+        let mut s = session(i, rate_limited);
         let mut op = operator(i);
         for _ in 0..STEPS {
             s.step(&mut op);
@@ -105,137 +85,100 @@ fn run_serial() -> (f64, Vec<u64>) {
     (start.elapsed().as_secs_f64(), digests)
 }
 
-/// Steps all `SESSIONS` sessions to completion in lockstep groups of
-/// `batch`; returns (wall secs, per-session run-log digests).
-fn run_batched(batch: usize) -> (f64, Vec<u64>) {
-    run_batched_with(batch, false)
+/// One variant's wall-time samples, digest-checked against its reference.
+struct Variant {
+    rate_limited: bool,
+    reference: Vec<u64>,
+    secs: Vec<f64>,
 }
 
-fn run_batched_with(batch: usize, rate_limited: bool) -> (f64, Vec<u64>) {
-    let start = Instant::now();
-    let mut digests = Vec::with_capacity(SESSIONS);
-    let mut i = 0;
-    while i < SESSIONS {
-        let group = batch.min(SESSIONS - i);
-        let mut b = SessionBatch::new();
-        for j in i..i + group {
-            b.push(
-                session_with(j, rate_limited),
-                FixedRun::new(operator(j), STEPS),
-            );
+impl Variant {
+    /// Runs once untimed for the reference digests (and warm-up).
+    fn new(rate_limited: bool) -> Self {
+        Variant {
+            rate_limited,
+            reference: run(rate_limited).1,
+            secs: Vec::with_capacity(PAIRS),
         }
-        b.run_to_completion();
-        digests.extend(b.finish().into_iter().map(|(s, _)| s.into_log().digest()));
-        i += group;
     }
-    (start.elapsed().as_secs_f64(), digests)
+
+    fn sample(&mut self) {
+        let (secs, digests) = run(self.rate_limited);
+        assert_eq!(
+            digests, self.reference,
+            "digest drift (rate_limited = {}) — serial stepping is not deterministic",
+            self.rate_limited
+        );
+        self.secs.push(secs);
+    }
+
+    /// (median, min, max) wall seconds.
+    fn stats(&self) -> (f64, f64, f64) {
+        let mut sorted = self.secs.clone();
+        sorted.sort_by(f64::total_cmp);
+        let last = sorted.len() - 1;
+        (sorted[sorted.len() / 2], sorted[0], sorted[last])
+    }
 }
 
-/// Median wall seconds over `SAMPLES` runs of `f`, digest-checked
-/// against the serial reference.
-fn time_runs(f: impl Fn() -> (f64, Vec<u64>), what: &str, reference: &[u64]) -> f64 {
-    let mut times = Vec::with_capacity(SAMPLES);
-    for _ in 0..SAMPLES {
-        let (secs, digests) = f();
-        assert_eq!(
-            digests, reference,
-            "digest drift at {what} — lockstep changed results"
-        );
-        times.push(secs);
-    }
-    times.sort_by(|a, b| a.total_cmp(b));
-    times[times.len() / 2]
+/// Steps/sec of one sample taking `secs`.
+fn rate(secs: f64) -> f64 {
+    (SESSIONS as u64 * STEPS) as f64 / secs
+}
+
+/// A variant's median, min and max wall seconds and its median steps/sec.
+fn variant_group((median, min, max): (f64, f64, f64)) -> Group {
+    Group::new()
+        .float("median_secs", median, 6)
+        .float("min_secs", min, 6)
+        .float("max_secs", max, 6)
+        .float("steps_per_sec", rate(median), 0)
 }
 
 fn main() {
     let _ = std::env::args();
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let total_steps = SESSIONS as u64 * STEPS;
-    let rate = |secs: f64| total_steps as f64 / secs;
 
-    // Warm-up also produces the serial reference digests every timed run
-    // is checked against.
-    let (warm, reference) = run_serial();
-    eprintln!("warm-up: {warm:.3} s for {SESSIONS} sessions × {STEPS} steps (serial)");
-
-    let serial = time_runs(run_serial, "serial", &reference);
-    let widths: Vec<(usize, f64)> = WIDTHS
-        .iter()
-        .map(|&w| {
-            (
-                w,
-                time_runs(|| run_batched(w), &format!("batch {w}"), &reference),
-            )
-        })
-        .collect();
+    let mut plain = Variant::new(false);
+    let mut limited = Variant::new(true);
+    for pair in 0..PAIRS {
+        if pair % 2 == 0 {
+            plain.sample();
+            limited.sample();
+        } else {
+            limited.sample();
+            plain.sample();
+        }
+    }
+    let plain_stats = plain.stats();
+    let limited_stats = limited.stats();
+    let queue_overhead = limited_stats.0 / plain_stats.0;
 
     println!(
-        "== session pipeline ({SESSIONS} sessions × {STEPS} steps × {SAMPLES} samples, {cores} core(s)) =="
+        "== session pipeline ({SESSIONS} sessions × {STEPS} steps, {PAIRS} interleaved pairs, \
+         {cores} core(s)) =="
     );
-    println!("serial: {serial:.3} s  ({:.0} steps/sec)", rate(serial));
-    for &(w, secs) in &widths {
+    for (name, (median, min, max)) in [("plain", plain_stats), ("rate-limited", limited_stats)] {
         println!(
-            "batch={w}: {secs:.3} s  ({:.0} steps/sec, {:.2}× vs serial)",
-            rate(secs),
-            serial / secs
+            "{name}: median {median:.3} s ({:.0} steps/sec), min {min:.3} s, max {max:.3} s",
+            rate(median)
         );
     }
-
-    // The queue-overhead sweep: same batch-8 lockstep, but the fault
-    // windows carry a rate so the finite BDP queue is live. Digests
-    // differ from the plain reference (the rate delays packets), so the
-    // check here is self-consistency across samples.
-    let (_, queue_reference) = run_batched_with(8, true);
-    let queue_b8 = time_runs(
-        || run_batched_with(8, true),
-        "batch 8 + finite queue",
-        &queue_reference,
-    );
-
-    let b8 = widths
-        .iter()
-        .find(|(w, _)| *w == 8)
-        .map(|&(_, secs)| secs)
-        .expect("width 8 measured");
-    let queue_overhead = queue_b8 / b8;
-    println!(
-        "queue overhead: batch=8 with rate-limited windows {queue_b8:.3} s \
-         ({:.0} steps/sec, {queue_overhead:.2}× plain batch-8)",
-        rate(queue_b8)
-    );
+    println!("queue overhead: {queue_overhead:.2}× plain (gate: {MAX_QUEUE_OVERHEAD}×)");
     assert!(
         queue_overhead <= MAX_QUEUE_OVERHEAD,
-        "finite-queue regression: rate-limited batch-8 took {queue_overhead:.2}× the plain \
-         sweep (gate: {MAX_QUEUE_OVERHEAD}×)"
-    );
-    let soa_speedup = rate(b8) / PRE_SOA_STEPS_PER_SEC;
-    println!("soa_speedup: {soa_speedup:.2}× vs pre-SoA {PRE_SOA_STEPS_PER_SEC:.0} steps/sec");
-    assert!(
-        soa_speedup >= MIN_SOA_SPEEDUP,
-        "SoA regression: batch-8 {:.0} steps/sec is only {soa_speedup:.2}× the pre-SoA \
-         baseline of {PRE_SOA_STEPS_PER_SEC:.0} (gate: {MIN_SOA_SPEEDUP}×)",
-        rate(b8),
+        "finite-queue regression: rate-limited stepping took {queue_overhead:.2}× the plain \
+         median (gate: {MAX_QUEUE_OVERHEAD}×)"
     );
 
-    let mut secs_group = Group::new().float("serial", serial, 6);
-    let mut rate_group = Group::new().float("serial", rate(serial), 0);
-    let mut speedup_group = Group::new();
-    for &(w, secs) in &widths {
-        secs_group = secs_group.float(&format!("batch_{w}"), secs, 6);
-        rate_group = rate_group.float(&format!("batch_{w}"), rate(secs), 0);
-        speedup_group = speedup_group.float(&format!("batch_{w}"), serial / secs, 3);
-    }
-
-    let mut report = Report::new("session_batched");
+    let mut report = Report::new("session");
     report
         .uint("sessions", SESSIONS as u64)
         .uint("steps_per_session", STEPS)
-        .uint("samples", SAMPLES as u64)
+        .uint("pairs", PAIRS as u64)
         .uint("available_parallelism", cores as u64)
-        .group("median_secs", secs_group)
-        .group("steps_per_sec", rate_group)
-        .group("speedup_vs_serial", speedup_group)
-        .float("soa_speedup", soa_speedup, 3)
+        .group("plain", variant_group(plain_stats))
+        .group("rate_limited", variant_group(limited_stats))
         .float("queue_overhead", queue_overhead, 3)
         .bool("queue_overhead_ok", queue_overhead <= MAX_QUEUE_OVERHEAD)
         .bool("digest_match", true);

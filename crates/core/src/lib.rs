@@ -42,7 +42,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod batch;
 pub mod campaign;
 pub mod digest;
 pub mod fault;
@@ -52,10 +51,8 @@ mod protocol;
 mod runlog;
 pub mod safety;
 mod session;
-pub mod soa;
 mod station;
 
-pub use batch::{FixedRun, SessionBatch, SessionController};
 pub use campaign::{random_schedule, RunKind, RunRecord, ScheduledFault};
 pub use digest::Digestible;
 pub use fault::{FaultKind, FaultSpec, PaperFault};
@@ -67,7 +64,4 @@ pub use protocol::{
 };
 pub use runlog::{EgoSample, IncidentKind, IncidentMark, LeadObservation, OtherSample, RunLog};
 pub use session::{RdsSession, RdsSessionConfig, SessionStats};
-pub use soa::{BatchCtx, OperatorProvider, SoaLanes};
-pub use station::{
-    OperatorHotState, OperatorSubsystem, ReceivedFrame, ScriptedOperator, StationSpec,
-};
+pub use station::{OperatorSubsystem, ReceivedFrame, ScriptedOperator, StationSpec};

@@ -167,47 +167,7 @@ pub trait Stage: std::fmt::Debug + Send {
 
     /// Advances this stage by one tick.
     fn advance(&mut self, ctx: &mut StageContext<'_>);
-
-    /// Advances this stage for every slot of a batched sweep (the
-    /// stage-major loop of [`crate::SessionBatch`]). The default loops
-    /// the slots through [`advance`](Self::advance) — bit-identical to
-    /// the serial path by construction; builtins override it with dense
-    /// loops that consult the [`crate::soa::SoaLanes`] deadline columns
-    /// to skip work that provably cannot happen this tick.
-    fn step_batch(&mut self, batch: &mut crate::soa::BatchCtx<'_>) {
-        for k in 0..batch.len() {
-            batch.with_slot(k, |ctx| self.advance(ctx));
-        }
-    }
-
-    /// Whether this instance is the crate's builtin implementation of
-    /// its stage name. `SessionBatch` only routes a pipeline position
-    /// through the batched sweep when every participating session still
-    /// runs the builtin there; a stage swapped in via
-    /// [`crate::RdsSession::replace_stage`] returns `false` (the
-    /// default) and transparently demotes that position to the
-    /// per-session loop.
-    fn is_default_impl(&self) -> bool {
-        false
-    }
 }
-
-/// The ten builtin stage names in their default pipeline order. A
-/// session whose stage list still has exactly this shape (same length,
-/// same names, same order) is a candidate for the batched stage-major
-/// sweep; anything else falls back to the per-session path.
-pub const CANONICAL_STAGE_NAMES: [&str; 10] = [
-    "fault_window",
-    "vehicle",
-    "capture",
-    "uplink",
-    "display",
-    "operator",
-    "downlink",
-    "actuate",
-    "safety",
-    "logging",
-];
 
 /// Declares a unit-struct stage with its stable name and span name.
 macro_rules! stage_names {
@@ -238,10 +198,6 @@ impl Stage for FaultWindowStage {
         Self::SPAN
     }
 
-    fn is_default_impl(&self) -> bool {
-        true
-    }
-
     fn advance(&mut self, ctx: &mut StageContext<'_>) {
         let core = &mut *ctx.core;
         let t_pre = core.time();
@@ -253,32 +209,6 @@ impl Stage for FaultWindowStage {
         ctx.scratch.in_window = core.injector.fault_active();
         ctx.scratch.dropped_before =
             core.link.uplink.stats().dropped + core.link.downlink.stats().dropped;
-    }
-
-    fn step_batch(&mut self, batch: &mut crate::soa::BatchCtx<'_>) {
-        // Between fault edges the injector cannot change anything, so the
-        // cached next-edge deadline replaces the per-tick window scan.
-        // The epoch column invalidates the cache across schedule/ad-hoc
-        // mutations (`schedule_fault`, `inject_now*`, `clear_fault_now`).
-        for &slot in batch.slots {
-            let session = &mut batch.sessions[slot];
-            let core = &mut session.core;
-            let t_pre = core.time();
-            if batch.lanes.fault_epoch[slot] == core.injector.epoch()
-                && t_pre.as_micros() < batch.lanes.fault_next_edge_us[slot]
-            {
-                session.scratch.in_window = batch.lanes.fault_in_window[slot];
-            } else {
-                core.injector.advance(&mut core.link, t_pre);
-                core.sync_fault_events();
-                session.scratch.in_window = core.injector.fault_active();
-                batch.lanes.fault_in_window[slot] = session.scratch.in_window;
-                batch.lanes.fault_next_edge_us[slot] = core.injector.next_edge_us(t_pre);
-                batch.lanes.fault_epoch[slot] = core.injector.epoch();
-            }
-            session.scratch.dropped_before =
-                core.link.uplink.stats().dropped + core.link.downlink.stats().dropped;
-        }
     }
 }
 
@@ -298,38 +228,10 @@ impl Stage for VehicleStage {
         Self::SPAN
     }
 
-    fn is_default_impl(&self) -> bool {
-        true
-    }
-
     fn advance(&mut self, ctx: &mut StageContext<'_>) {
         let dt = ctx.core.dt;
         ctx.core.server.advance_plant(dt);
         ctx.scratch.now = ctx.core.time();
-    }
-
-    fn step_batch(&mut self, batch: &mut crate::soa::BatchCtx<'_>) {
-        // Dense integrate-then-scatter sweep: the plant state stays
-        // authoritative inside each world; the ego kinematic columns are
-        // gather-only mirrors refreshed right after integration.
-        for &slot in batch.slots {
-            let session = &mut batch.sessions[slot];
-            let core = &mut session.core;
-            core.server.advance_plant(core.dt);
-            session.scratch.now = core.time();
-            batch.lanes.now_us[slot] = session.scratch.now.as_micros();
-            let world = core.server.world();
-            if let Some(id) = world.ego_id() {
-                let state = world.actor(id).state();
-                let pos = state.position();
-                batch.lanes.ego_x[slot] = pos.x;
-                batch.lanes.ego_y[slot] = pos.y;
-                batch.lanes.ego_heading[slot] = state.heading().get();
-                batch.lanes.ego_speed[slot] = state.speed.get();
-                batch.lanes.ego_accel[slot] = state.accel.get();
-                batch.lanes.ego_steer[slot] = state.steer_angle.get();
-            }
-        }
     }
 }
 
@@ -346,10 +248,6 @@ impl Stage for CaptureStage {
 
     fn span_name(&self) -> &'static str {
         Self::SPAN
-    }
-
-    fn is_default_impl(&self) -> bool {
-        true
     }
 
     fn advance(&mut self, ctx: &mut StageContext<'_>) {
@@ -372,10 +270,6 @@ impl Stage for UplinkStage {
 
     fn span_name(&self) -> &'static str {
         Self::SPAN
-    }
-
-    fn is_default_impl(&self) -> bool {
-        true
     }
 
     fn advance(&mut self, ctx: &mut StageContext<'_>) {
@@ -407,32 +301,6 @@ impl Stage for UplinkStage {
         }
         core.link.uplink.transfer_into(packets, now, arrived_frames);
     }
-
-    fn step_batch(&mut self, batch: &mut crate::soa::BatchCtx<'_>) {
-        // Idle skip: with nothing captured this tick and the qdisc's
-        // cached next-release head still in the future, the transfer is
-        // provably a no-op (queue state only changes through transfers,
-        // an empty dequeue only adds 0 to a counter, and the loss/RNG
-        // path only draws per enqueued packet).
-        for k in 0..batch.len() {
-            let slot = batch.slot(k);
-            {
-                let session = &batch.sessions[slot];
-                if session.scratch.frames.is_empty()
-                    && batch.lanes.up_next_release_us[slot] > session.scratch.now.as_micros()
-                {
-                    continue;
-                }
-            }
-            batch.with_slot(k, |ctx| self.advance(ctx));
-            batch.lanes.up_next_release_us[slot] = batch.sessions[slot]
-                .core
-                .link
-                .uplink
-                .next_delivery()
-                .map_or(u64::MAX, |t| t.as_micros());
-        }
-    }
 }
 
 /// Stage 5 — station display: decodes every delivered frame (corrupted
@@ -450,10 +318,6 @@ impl Stage for DisplayStage {
 
     fn span_name(&self) -> &'static str {
         Self::SPAN
-    }
-
-    fn is_default_impl(&self) -> bool {
-        true
     }
 
     fn advance(&mut self, ctx: &mut StageContext<'_>) {
@@ -552,10 +416,6 @@ impl Stage for OperatorStage {
         Self::SPAN
     }
 
-    fn is_default_impl(&self) -> bool {
-        true
-    }
-
     fn advance(&mut self, ctx: &mut StageContext<'_>) {
         let now = ctx.scratch.now;
         let control = ctx.operator.command(now);
@@ -576,21 +436,6 @@ impl Stage for OperatorStage {
             encode_command_pooled(seq, &control, &core.cmd_pool),
         ));
     }
-
-    fn step_batch(&mut self, batch: &mut crate::soa::BatchCtx<'_>) {
-        // The operator must be sampled every tick (it is the command
-        // source), so the sweep only adds the hot-state gather into the
-        // columnar mirrors after each sample.
-        for k in 0..batch.len() {
-            batch.with_slot(k, |ctx| self.advance(ctx));
-            let slot = batch.slot(k);
-            if let Some(hs) = batch.ops.operator_mut(slot).hot_state() {
-                batch.lanes.op_wheel[slot] = hs.wheel;
-                batch.lanes.op_steer_target[slot] = hs.steer_target;
-                batch.lanes.op_next_update_us[slot] = hs.next_update_us;
-            }
-        }
-    }
 }
 
 /// Stage 7 — downlink (operator → vehicle): offers the tick's command
@@ -609,10 +454,6 @@ impl Stage for DownlinkStage {
         Self::SPAN
     }
 
-    fn is_default_impl(&self) -> bool {
-        true
-    }
-
     fn advance(&mut self, ctx: &mut StageContext<'_>) {
         let now = ctx.scratch.now;
         let StepScratch {
@@ -628,22 +469,6 @@ impl Stage for DownlinkStage {
             .link
             .downlink
             .transfer_into(packets, now, arrived_cmds);
-    }
-
-    fn step_batch(&mut self, batch: &mut crate::soa::BatchCtx<'_>) {
-        // A command is offered every tick, so the downlink can never
-        // idle-skip; the next-release column is maintained for symmetry
-        // with the uplink and for lane-level diagnostics.
-        for k in 0..batch.len() {
-            batch.with_slot(k, |ctx| self.advance(ctx));
-            let slot = batch.slot(k);
-            batch.lanes.down_next_release_us[slot] = batch.sessions[slot]
-                .core
-                .link
-                .downlink
-                .next_delivery()
-                .map_or(u64::MAX, |t| t.as_micros());
-        }
     }
 }
 
@@ -662,10 +487,6 @@ impl Stage for ActuateStage {
 
     fn span_name(&self) -> &'static str {
         Self::SPAN
-    }
-
-    fn is_default_impl(&self) -> bool {
-        true
     }
 
     fn advance(&mut self, ctx: &mut StageContext<'_>) {
@@ -733,10 +554,6 @@ impl Stage for SafetyStage {
         Self::SPAN
     }
 
-    fn is_default_impl(&self) -> bool {
-        true
-    }
-
     fn advance(&mut self, ctx: &mut StageContext<'_>) {
         let now = ctx.scratch.now;
         let core = &mut *ctx.core;
@@ -759,17 +576,6 @@ impl Stage for SafetyStage {
             }
         }
     }
-
-    fn step_batch(&mut self, batch: &mut crate::soa::BatchCtx<'_>) {
-        // Sessions without a safety stack (the paper's baseline) skip the
-        // QoS estimate and world lookup entirely.
-        for k in 0..batch.len() {
-            if batch.sessions[batch.slot(k)].core.safety.is_none() {
-                continue;
-            }
-            batch.with_slot(k, |ctx| self.advance(ctx));
-        }
-    }
 }
 
 /// Stage 10 — logging: appends the tick's ego/other samples to the run
@@ -786,10 +592,6 @@ impl Stage for LoggingStage {
 
     fn span_name(&self) -> &'static str {
         Self::SPAN
-    }
-
-    fn is_default_impl(&self) -> bool {
-        true
     }
 
     fn advance(&mut self, ctx: &mut StageContext<'_>) {

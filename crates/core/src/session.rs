@@ -658,22 +658,6 @@ impl RdsSession {
         self.stages.iter().map(|s| s.name()).collect()
     }
 
-    /// Whether this session can join the batched stage-major sweep:
-    /// the stage list still has the canonical ten-stage shape (names in
-    /// order — a replaced position is fine, it demotes per position via
-    /// [`Stage::is_default_impl`]) and no live telemetry recorder is
-    /// attached (the serial path emits one span sample per stage per
-    /// step, which the dense sweep deliberately does not replicate).
-    pub(crate) fn batched_eligible(&self) -> bool {
-        !self.core.recorder.enabled()
-            && self.stages.len() == crate::pipeline::CANONICAL_STAGE_NAMES.len()
-            && self
-                .stages
-                .iter()
-                .zip(crate::pipeline::CANONICAL_STAGE_NAMES)
-                .all(|(stage, name)| stage.name() == name)
-    }
-
     /// Replaces the stage called `name` with `stage`, returning `true` if
     /// a stage by that name existed.
     pub fn replace_stage(&mut self, name: &str, stage: Box<dyn Stage>) -> bool {

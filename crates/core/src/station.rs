@@ -29,20 +29,6 @@ impl ReceivedFrame {
     }
 }
 
-/// A compact read-out of an operator's hot control state, gathered into
-/// the batch engine's columnar lanes after each operator tick (see
-/// `rdsim_core::soa`). Purely observational: the authoritative state
-/// stays inside the operator; the lanes mirror it for dense scans.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct OperatorHotState {
-    /// Current steering-wheel angle (what the emitted command carries).
-    pub wheel: f64,
-    /// The wheel angle the operator is currently slewing toward.
-    pub steer_target: f64,
-    /// Simulated time (µs) of the operator's next replanning update.
-    pub next_update_us: u64,
-}
-
 /// The operator subsystem of the RDS: consumes the video feed, produces
 /// driving commands. Implemented by the simulated human driver models in
 /// `rdsim-operator`, and by scripted operators for deterministic tests.
@@ -71,14 +57,6 @@ pub trait OperatorSubsystem {
     /// that consume frames immediately can return their previous one
     /// and make steady-state display allocation-free.
     fn recycle_frame(&mut self) -> Option<ReceivedFrame> {
-        None
-    }
-
-    /// A columnar read-out of the operator's hot control state, if the
-    /// implementation exposes one. The SoA batch engine gathers it into
-    /// its per-slot lanes after every operator tick; `None` (the
-    /// default) simply leaves those lanes untouched.
-    fn hot_state(&self) -> Option<OperatorHotState> {
         None
     }
 }

@@ -1,11 +1,10 @@
 //! Trace-replay through a full session: dense measured-network edges
-//! must behave identically on the serial and SoA-batch paths, and a
-//! rate-overloaded segment must surface *queue* drops (congestion)
-//! separately from loss-model drops in both telemetry and the timeline.
+//! must replay identically whether or not a telemetry recorder watches
+//! the run, and a rate-overloaded segment must surface *queue* drops
+//! (congestion) separately from loss-model drops in both telemetry and
+//! the timeline.
 
-use rdsim_core::{
-    Digestible, FixedRun, RdsSession, RdsSessionConfig, ScriptedOperator, SessionBatch,
-};
+use rdsim_core::{Digestible, RdsSession, RdsSessionConfig, ScriptedOperator};
 use rdsim_netem::TraceSchedule;
 use rdsim_obs::{Registry, Timeline};
 use rdsim_roadnet::town05;
@@ -32,13 +31,16 @@ fn dense_trace() -> TraceSchedule {
     TraceSchedule::parse("dense", &text).unwrap()
 }
 
-fn session(seed: u64, trace: &TraceSchedule) -> RdsSession {
+fn session(seed: u64, trace: &TraceSchedule, registry: Option<&Registry>) -> RdsSession {
     let mut world = World::new(town05(), seed);
     world.spawn_ego_at("ego-start", VehicleSpec::passenger_car());
-    let config = RdsSessionConfig {
+    let mut config = RdsSessionConfig {
         camera: CameraConfig::fixed(Hertz::new(25.0), 2_000),
         ..RdsSessionConfig::default()
     };
+    if let Some(registry) = registry {
+        config.recorder = registry.recorder();
+    }
     let mut s = RdsSession::new(world, config, seed);
     s.schedule_trace(trace).unwrap();
     s
@@ -50,39 +52,36 @@ fn operator(seed: u64) -> ScriptedOperator {
 
 const STEPS: u64 = 300; // 6 s: past the trace end, so both edge kinds retire.
 
-/// The SoA batch's cached `next_edge_us` fast path must stay exact when
-/// config edges arrive every few ticks instead of twice a run: gathering
-/// the batch back must reproduce the serial run-log digests bit for bit.
+/// Config edges arriving every few ticks instead of twice a run must not
+/// let the recorder leak into behaviour: stepping with a live recorder
+/// (per-stage spans, counters, fault events) reproduces the null-recorder
+/// run-log digests bit for bit.
 #[test]
-fn dense_trace_edges_match_serial_digests_through_the_batch() {
+fn dense_trace_edges_replay_identically_with_and_without_a_recorder() {
     let trace = dense_trace();
     assert!(trace.edges() >= 60, "the schedule really is dense");
 
+    let run = |seed: u64, registry: Option<&Registry>| {
+        let mut s = session(seed, &trace, registry);
+        let mut op = operator(seed);
+        for _ in 0..STEPS {
+            s.step(&mut op);
+        }
+        s.into_log().digest()
+    };
     let seeds = [11_u64, 12, 13, 14, 15, 16];
-    let serial: Vec<u64> = seeds
+    let plain: Vec<u64> = seeds.iter().map(|&seed| run(seed, None)).collect();
+    let registry = Registry::new();
+    let recorded: Vec<u64> = seeds
         .iter()
-        .map(|&seed| {
-            let mut s = session(seed, &trace);
-            let mut op = operator(seed);
-            for _ in 0..STEPS {
-                s.step(&mut op);
-            }
-            s.into_log().digest()
-        })
+        .map(|&seed| run(seed, Some(&registry)))
         .collect();
-
-    let mut batch = SessionBatch::new();
-    for &seed in &seeds {
-        batch.push(session(seed, &trace), FixedRun::new(operator(seed), STEPS));
-    }
-    batch.run_to_completion();
-    assert_eq!(batch.live_count(), 0);
-    let batched: Vec<u64> = batch
-        .finish()
-        .into_iter()
-        .map(|(s, _)| s.into_log().digest())
-        .collect();
-    assert_eq!(serial, batched);
+    assert_eq!(plain, recorded);
+    assert!(plain.windows(2).any(|w| w[0] != w[1]), "seeds diverge");
+    assert_eq!(
+        registry.snapshot().counter("session.steps"),
+        seeds.len() as u64 * STEPS
+    );
 }
 
 /// Every trace edge the injector replays is logged, so the run log (and
@@ -90,7 +89,7 @@ fn dense_trace_edges_match_serial_digests_through_the_batch() {
 #[test]
 fn trace_edges_are_logged_as_fault_events() {
     let trace = dense_trace();
-    let mut s = session(21, &trace);
+    let mut s = session(21, &trace, None);
     let mut op = operator(21);
     for _ in 0..STEPS {
         s.step(&mut op);

@@ -15,12 +15,12 @@
 //! two laps of the course per run, as the experiments in `EXPERIMENTS.md`
 //! were recorded. `--jobs N` runs the campaign's 36 runs on N
 //! work-stealing worker threads (default: available parallelism);
-//! `--batch N` makes each worker step up to N runs in lockstep through
-//! the SoA batch engine (default: 1 for the roster study, 16 for
-//! `--campaign`; the batch clamps to the jobs remaining). Results are
+//! `--batch N` hands the workers N runs per executor task, which a worker
+//! runs one after another (default: 1 for the roster study, 16 for
+//! `--campaign`; the chunk clamps to the jobs remaining). Results are
 //! bit-identical for every jobs × batch combination — the printed
-//! campaign digest is the proof, and the CI `parallel-equivalence` and
-//! `soa-equivalence` jobs hold it for both knobs. `--telemetry` records pipeline telemetry during the
+//! campaign digest is the proof, and the CI `parallel-equivalence` job
+//! holds it for both knobs. `--telemetry` records pipeline telemetry during the
 //! study runs and appends a campaign report (frame/command age quantiles,
 //! per-fault-window packet accounting, stage timings, steps/sec).
 //! `--telemetry-out FILE` additionally writes the campaign telemetry as
@@ -288,11 +288,10 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
     if let Some(budget) = campaign {
-        // Population campaigns default to a real lockstep width: the SoA
-        // batch engine makes 16-wide sweeps the sensible resting state.
-        // Results are bit-identical for every width (the digest line
-        // below still prints the resolved knob), so this only changes
-        // throughput, never output.
+        // Population campaigns default to 16 runs per executor task.
+        // Results are bit-identical for every chunk size (the digest
+        // line below still prints the resolved knob), so this only
+        // changes scheduling, never output.
         let batch = batch.unwrap_or(16);
         let mut sampler_cfg = SamplerConfig::new(sampler);
         sampler_cfg.round_size = round;

@@ -87,8 +87,8 @@ where
     indexed.into_iter().map(|(_, result)| result).collect()
 }
 
-/// Runs jobs in lockstep batches of `batch` across `workers` threads and
-/// returns results in job order.
+/// Runs jobs in chunks of `batch` across `workers` threads and returns
+/// results in job order.
 ///
 /// Jobs are chunked in submission order into groups of at most `batch`
 /// (the tail chunk — and therefore the batch size — clamps to the jobs

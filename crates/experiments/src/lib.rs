@@ -45,7 +45,7 @@ pub use observatory::{
 };
 pub use population::{population_digest, stratum_label, synthesize_population, SyntheticSubject};
 pub use roster::{paper_roster, RosterEntry};
-pub use runner::{run_protocol, run_protocol_batch, ProtocolJob, RunOutput, ScenarioConfig};
+pub use runner::{run_protocol, RunOutput, ScenarioConfig};
 pub use sampler::{
     decision_log_json, plan_round, run_population_campaign, CellSignal, PopulationOptions,
     PopulationOutcome, RoundDecision, SamplerConfig, SamplerPolicy,

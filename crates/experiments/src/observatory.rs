@@ -24,8 +24,8 @@
 
 use crate::digest::run_digest;
 use crate::executor::{execute_ordered_batched_with, ChunkDone};
-use crate::study::{assemble_study, protocol_job, study_job_list, training_config};
-use crate::{paper_roster, run_protocol_batch, RunOutput, ScenarioConfig, StudyResults};
+use crate::study::{assemble_study, run_cell, study_job_list, training_config};
+use crate::{paper_roster, RunOutput, ScenarioConfig, StudyResults};
 use rdsim_core::{PaperFault, RunKind, ScheduledFault};
 use rdsim_metrics::{
     srr_for_fault, steering_reversal_rate, ttc_series, ttc_stats_for_fault, SrrConfig, TtcConfig,
@@ -326,7 +326,7 @@ pub struct CampaignOptions {
     pub config: ScenarioConfig,
     /// Worker threads.
     pub jobs: usize,
-    /// Lockstep batch size per worker.
+    /// Runs per executor task (the chunk a worker takes at a time).
     pub batch: usize,
     /// Render the live progress line on stderr.
     pub progress: bool,
@@ -445,24 +445,22 @@ pub fn run_campaign(opts: &CampaignOptions) -> Result<CampaignOutcome, String> {
         opts.jobs,
         batch,
         |chunk| {
-            run_protocol_batch(
-                chunk
-                    .into_iter()
-                    .map(|(subject, kind)| {
-                        protocol_job(
-                            opts.seed,
-                            &roster[subject],
-                            kind,
-                            &opts.config,
-                            &training_cfg,
-                        )
-                    })
-                    .collect(),
-            )
+            chunk
+                .into_iter()
+                .map(|(subject, kind)| {
+                    run_cell(
+                        opts.seed,
+                        &roster[subject],
+                        kind,
+                        &opts.config,
+                        &training_cfg,
+                    )
+                })
+                .collect()
         },
         |done: ChunkDone<'_, RunOutput>| {
-            // Lockstep batches are not separable per run; attribute the
-            // chunk's wall time evenly.
+            // The hook sees only the chunk's wall time; attribute it
+            // evenly to the chunk's runs.
             let per_run_ns = done.busy_ns / done.results.len().max(1) as u64;
             chunk_ns.record(done.busy_ns);
             queue_depth_max.fetch_max(done.pending as u64, Ordering::Relaxed);

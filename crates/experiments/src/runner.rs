@@ -1,20 +1,15 @@
 //! Runs protocol runs (training / golden / faulty) for subjects.
 //!
-//! A run is expressed as a [`rdsim_core::SessionController`] (the
-//! private `ProtocolDriver`): the per-tick scenario direction — progress
-//! accounting, the test leader's instructions, lead-vehicle phase
-//! scripting and point-of-interest fault injection — happens in its
-//! `pre_step`, and the session pipeline does the rest. That makes one
-//! run and a batch of runs the *same code path*: [`run_protocol`] is a
-//! [`run_protocol_batch`] of one, and [`run_protocol_batch`] steps N
-//! independent runs in lockstep on one worker via
-//! [`rdsim_core::SessionBatch`].
+//! [`run_protocol`] is the one loop every study, observatory and
+//! population campaign goes through: build the session and its private
+//! `ProtocolDriver`, then alternate the driver's per-tick scenario
+//! direction (`pre_step`: progress accounting, the test leader's
+//! instructions, lead-vehicle phase scripting and point-of-interest fault
+//! injection) with one [`RdsSession::step`] of the pipeline until the
+//! driver retires the run.
 
 use crate::{CourseMap, ScenarioPlan};
-use rdsim_core::{
-    PaperFault, RdsSession, RdsSessionConfig, RunKind, RunRecord, ScheduledFault, SessionBatch,
-    SessionController,
-};
+use rdsim_core::{PaperFault, RdsSession, RdsSessionConfig, RunKind, RunRecord, ScheduledFault};
 use rdsim_math::RngStream;
 use rdsim_netem::{InjectionWindow, TraceSchedule};
 use rdsim_obs::{Recorder, Registry, RunTelemetry, Timeline, TraceLog, Tracer};
@@ -161,21 +156,6 @@ pub struct RunOutput {
     pub trace_condition: Option<String>,
 }
 
-/// One protocol run awaiting execution (the unit [`run_protocol_batch`]
-/// consumes).
-#[derive(Debug, Clone)]
-pub struct ProtocolJob {
-    /// The subject driving the run.
-    pub profile: SubjectProfile,
-    /// Which protocol run this is.
-    pub kind: RunKind,
-    /// The run's seed (derive it with [`crate::seeds::run_seed`] for
-    /// campaign runs).
-    pub seed: u64,
-    /// The scenario configuration.
-    pub config: ScenarioConfig,
-}
-
 /// Runs one protocol run for a subject.
 ///
 /// Golden and faulty runs drive the full scenario course (lead vehicle,
@@ -183,55 +163,26 @@ pub struct ProtocolJob {
 /// driving in an empty town. Fault injection happens only in faulty runs,
 /// at the plan's points of interest, drawing a random fault per point per
 /// lap exactly as §V.C describes.
-///
-/// Equivalent to a [`run_protocol_batch`] of one job (it is exactly
-/// that), so serial and batched campaigns share one code path.
 pub fn run_protocol(
     profile: &SubjectProfile,
     kind: RunKind,
     seed: u64,
     config: &ScenarioConfig,
 ) -> RunOutput {
-    run_protocol_batch(vec![ProtocolJob {
-        profile: profile.clone(),
-        kind,
-        seed,
-        config: config.clone(),
-    }])
-    .pop()
-    .expect("one job in, one output out")
-}
-
-/// Runs a batch of independent protocol runs in lockstep on the calling
-/// thread, returning outputs in job order.
-///
-/// Each run owns its world, links, RNG streams and driver, so lockstep
-/// interleaving is bit-for-bit identical to running the jobs serially
-/// (the parallel-equivalence suite pins this); batching amortizes
-/// scheduling and keeps the stage code hot in cache across sessions.
-pub fn run_protocol_batch(jobs: Vec<ProtocolJob>) -> Vec<RunOutput> {
-    let mut batch = SessionBatch::new();
-    for job in &jobs {
-        let (session, driver) = build_run(job);
-        batch.push(session, driver);
+    let (mut session, mut driver) = build_run(profile, kind, seed, config);
+    while driver.pre_step(&mut session) {
+        session.step(&mut driver.driver);
     }
-    batch.run_to_completion();
-    batch
-        .finish()
-        .into_iter()
-        .map(|(session, driver)| driver.finish(session))
-        .collect()
+    driver.finish(session)
 }
 
 /// Builds one run's session and its scenario controller.
-fn build_run(job: &ProtocolJob) -> (RdsSession, ProtocolDriver) {
-    let ProtocolJob {
-        profile,
-        kind,
-        seed,
-        config,
-    } = job;
-    let (kind, seed) = (*kind, *seed);
+fn build_run(
+    profile: &SubjectProfile,
+    kind: RunKind,
+    seed: u64,
+    config: &ScenarioConfig,
+) -> (RdsSession, ProtocolDriver) {
     let net = town05();
     let course = CourseMap::new(&net);
     let plan = ScenarioPlan::town05();
@@ -378,10 +329,9 @@ fn build_run(job: &ProtocolJob) -> (RdsSession, ProtocolDriver) {
     (session, controller)
 }
 
-/// Scenario direction for one protocol run, batched via
-/// [`SessionController`]: the serial loop's per-tick preamble lives in
-/// [`pre_step`](SessionController::pre_step), its loop condition in the
-/// retirement checks at the top of it.
+/// Scenario direction for one protocol run: the per-tick preamble of
+/// [`run_protocol`]'s loop lives in [`pre_step`](Self::pre_step), its loop
+/// condition in the retirement checks at the top of it.
 #[derive(Debug)]
 struct ProtocolDriver {
     kind: RunKind,
@@ -408,7 +358,8 @@ struct ProtocolDriver {
     steps_left: u64,
 }
 
-impl SessionController for ProtocolDriver {
+impl ProtocolDriver {
+    /// Directs the tick about to be stepped; `false` retires the run.
     fn pre_step(&mut self, session: &mut RdsSession) -> bool {
         // Retirement: out of steps (the max-duration guard), or the stop
         // instruction has brought the ego to rest after the previous step.
@@ -524,12 +475,6 @@ impl SessionController for ProtocolDriver {
         true
     }
 
-    fn operator_mut(&mut self) -> &mut dyn rdsim_core::OperatorSubsystem {
-        &mut self.driver
-    }
-}
-
-impl ProtocolDriver {
     /// Finalises a retired run: closes any dangling fault window and
     /// assembles the [`RunOutput`].
     fn finish(mut self, mut session: RdsSession) -> RunOutput {
@@ -709,49 +654,6 @@ mod tests {
         let faults_a: Vec<_> = a.record.schedule.iter().map(|s| s.fault).collect();
         let faults_b: Vec<_> = b.record.schedule.iter().map(|s| s.fault).collect();
         assert_eq!(faults_a, faults_b);
-    }
-
-    #[test]
-    fn batched_runs_match_serial_bit_for_bit() {
-        use rdsim_core::Digestible;
-        // Mixed kinds and subjects in one lockstep batch; compare
-        // run-log digests and scenario outputs against one-at-a-time.
-        let mut p2 = profile();
-        p2.id = "TZ".to_owned();
-        let cfg = ScenarioConfig::quick();
-        let jobs = vec![
-            ProtocolJob {
-                profile: profile(),
-                kind: RunKind::Golden,
-                seed: 101,
-                config: cfg.clone(),
-            },
-            ProtocolJob {
-                profile: p2,
-                kind: RunKind::Faulty,
-                seed: 102,
-                config: cfg.clone(),
-            },
-            ProtocolJob {
-                profile: profile(),
-                kind: RunKind::Training,
-                seed: 103,
-                config: cfg.clone(),
-            },
-        ];
-        let serial: Vec<RunOutput> = jobs
-            .iter()
-            .map(|j| run_protocol(&j.profile, j.kind, j.seed, &j.config))
-            .collect();
-        let batched = run_protocol_batch(jobs);
-        assert_eq!(serial.len(), batched.len());
-        for (s, b) in serial.iter().zip(&batched) {
-            assert_eq!(s.record.log.digest(), b.record.log.digest());
-            assert_eq!(s.record.schedule, b.record.schedule);
-            assert_eq!(s.progress, b.progress);
-            assert_eq!(s.frames_seen, b.frames_seen);
-            assert_eq!(s.stutter_time, b.stutter_time);
-        }
     }
 
     #[test]

@@ -38,7 +38,7 @@ use crate::observatory::{
 };
 use crate::population::{population_digest, synthesize_population, SyntheticSubject};
 use crate::seeds::synthetic_run_seed;
-use crate::{run_protocol_batch, ProtocolJob, RunOutput, ScenarioConfig};
+use crate::{run_protocol, RunOutput, ScenarioConfig};
 use rdsim_core::{PaperFault, RunKind};
 use rdsim_obs::{
     wilson_interval, CampaignStore, Histogram, ProgressMeter, RunKey, RunSummary, RunTelemetry,
@@ -265,7 +265,7 @@ pub struct PopulationOptions {
     pub config: ScenarioConfig,
     /// Worker threads.
     pub jobs: usize,
-    /// Lockstep batch size per worker.
+    /// Runs per executor task (the chunk a worker takes at a time).
     pub batch: usize,
     /// Render the live progress line on stderr.
     pub progress: bool,
@@ -498,12 +498,10 @@ pub fn run_population_campaign(opts: &PopulationOptions) -> Result<PopulationOut
                 opts.jobs,
                 batch,
                 |chunk| {
-                    run_protocol_batch(
-                        chunk
-                            .into_iter()
-                            .map(|(ci, mi)| population_job(opts, &cells[ci], &population[mi]))
-                            .collect(),
-                    )
+                    chunk
+                        .into_iter()
+                        .map(|(ci, mi)| run_population_cell(opts, &cells[ci], &population[mi]))
+                        .collect()
                 },
                 |done: ChunkDone<'_, RunOutput>| {
                     let per_run_ns = done.busy_ns / done.results.len().max(1) as u64;
@@ -608,22 +606,19 @@ pub fn run_population_campaign(opts: &PopulationOptions) -> Result<PopulationOut
     })
 }
 
-/// The protocol job of one population run: the subject's profile, the
-/// synthetic-domain seed, and the scenario pinned to the cell's fault.
-fn population_job(
+/// Runs one population run: the subject's profile, the synthetic-domain
+/// seed, and the scenario pinned to the cell's fault.
+fn run_population_cell(
     opts: &PopulationOptions,
     cell: &GridCell,
     subject: &SyntheticSubject,
-) -> ProtocolJob {
-    ProtocolJob {
-        profile: subject.profile.clone(),
-        kind: RunKind::Faulty,
-        seed: synthetic_run_seed(opts.seed, &subject.profile.id, cell.condition),
-        config: ScenarioConfig {
-            fault_override: Some(cell.fault),
-            ..opts.config.clone()
-        },
-    }
+) -> RunOutput {
+    let seed = synthetic_run_seed(opts.seed, &subject.profile.id, cell.condition);
+    let config = ScenarioConfig {
+        fault_override: Some(cell.fault),
+        ..opts.config.clone()
+    };
+    run_protocol(&subject.profile, RunKind::Faulty, seed, &config)
 }
 
 #[cfg(test)]

@@ -3,9 +3,7 @@
 
 use crate::executor::{default_jobs, execute_ordered_batched};
 use crate::seeds::run_seed;
-use crate::{
-    paper_roster, run_protocol_batch, ProtocolJob, RosterEntry, RunOutput, ScenarioConfig,
-};
+use crate::{paper_roster, run_protocol, RosterEntry, RunOutput, ScenarioConfig};
 use rdsim_core::{IncidentMark, PaperFault, RunKind, RunRecord};
 use rdsim_math::RngStream;
 use rdsim_metrics::{
@@ -110,25 +108,25 @@ pub(crate) fn training_config(config: &ScenarioConfig) -> ScenarioConfig {
     cfg
 }
 
-/// Builds the executable job for one (subject, kind) campaign cell.
-pub(crate) fn protocol_job(
+/// Runs one (subject, kind) campaign cell.
+pub(crate) fn run_cell(
     seed: u64,
     entry: &RosterEntry,
     kind: RunKind,
     config: &ScenarioConfig,
     training_cfg: &ScenarioConfig,
-) -> ProtocolJob {
+) -> RunOutput {
     let cfg = if kind == RunKind::Training {
         training_cfg
     } else {
         config
     };
-    ProtocolJob {
-        profile: entry.profile.clone(),
+    run_protocol(
+        &entry.profile,
         kind,
-        seed: run_seed(seed, &entry.profile.id, kind),
-        config: cfg.clone(),
-    }
+        run_seed(seed, &entry.profile.id, kind),
+        cfg,
+    )
 }
 
 /// Folds the ordered run outputs of a full campaign into [`StudyResults`]:
@@ -226,13 +224,14 @@ pub fn run_study_with_jobs(seed: u64, config: &ScenarioConfig, jobs: usize) -> S
     run_study_with_exec(seed, config, jobs, 1)
 }
 
-/// Runs the whole study on `jobs` worker threads, each worker stepping up
-/// to `batch` runs in lockstep ([`rdsim_core::SessionBatch`]).
+/// Runs the whole study on `jobs` worker threads, `batch` runs per
+/// executor task; a task runs its chunk one session after another.
 ///
-/// Batching changes only how runs share a worker, never what any run
-/// computes: runs are fully independent, so results are bit-identical for
-/// every `(jobs, batch)` combination. The batch size clamps to the jobs
-/// remaining (a 36-run campaign at `batch 8` ends with a 4-run batch).
+/// Chunking changes only how runs are handed to workers, never what any
+/// run computes: runs are fully independent, so results are bit-identical
+/// for every `(jobs, batch)` combination. The chunk size clamps to the
+/// jobs remaining (a 36-run campaign at `batch 8` ends with a 4-run
+/// chunk).
 pub fn run_study_with_exec(
     seed: u64,
     config: &ScenarioConfig,
@@ -243,14 +242,10 @@ pub fn run_study_with_exec(
     let job_list = study_job_list(&roster);
     let training_cfg = training_config(config);
     let outputs: Vec<RunOutput> = execute_ordered_batched(job_list, jobs, batch, |chunk| {
-        run_protocol_batch(
-            chunk
-                .into_iter()
-                .map(|(subject, kind)| {
-                    protocol_job(seed, &roster[subject], kind, config, &training_cfg)
-                })
-                .collect(),
-        )
+        chunk
+            .into_iter()
+            .map(|(subject, kind)| run_cell(seed, &roster[subject], kind, config, &training_cfg))
+            .collect()
     });
     assemble_study(seed, config, roster, outputs)
 }

@@ -162,6 +162,13 @@ pub const BDP_REFERENCE_PACKET: u64 = 1500;
 /// from degenerating into drop-every-burst.
 pub const MIN_AUTO_LIMIT: u32 = 16;
 
+/// Largest worst-case one-way delay (base + jitter) a rule may ask for:
+/// one hour. A run is capped at 900 s of simulated time, so no meaningful
+/// rule comes near it, and the bound keeps `send time + delay` (plus any
+/// rate-limiter backlog) far inside the microsecond clock instead of
+/// overflowing it.
+pub const MAX_DELAY: Millis = Millis::new(3_600_000.0);
+
 impl NetemConfig {
     /// A config that passes traffic through untouched.
     pub fn passthrough() -> Self {
@@ -286,10 +293,16 @@ impl NetemConfig {
             if d.base.get() < 0.0 || !d.base.get().is_finite() {
                 return Err(format!("delay base must be non-negative, got {}", d.base));
             }
-            if d.jitter.get() < 0.0 || d.jitter.get() > d.base.get() {
+            if !(0.0..=d.base.get()).contains(&d.jitter.get()) {
                 return Err(format!(
                     "jitter must be within [0, base]; got jitter {} base {}",
                     d.jitter, d.base
+                ));
+            }
+            if d.base.get() + d.jitter.get() > MAX_DELAY.get() {
+                return Err(format!(
+                    "delay base + jitter must be at most {MAX_DELAY}; got base {} jitter {}",
+                    d.base, d.jitter
                 ));
             }
             ratio_ok("delay correlation", d.correlation)?;

@@ -119,10 +119,6 @@ pub struct FaultInjector {
     /// An ad-hoc (unscheduled) rule is currently applied via
     /// [`FaultInjector::inject_now`] / [`FaultInjector::inject_now_on`].
     adhoc_active: bool,
-    /// Revision counter bumped by every schedule/ad-hoc mutation, so
-    /// callers caching [`FaultInjector::next_edge_us`] deadlines can
-    /// detect staleness with one integer compare.
-    epoch: u64,
 }
 
 impl FaultInjector {
@@ -144,30 +140,7 @@ impl FaultInjector {
         }
         self.windows.push(window);
         self.windows.sort_by_key(|w| w.start);
-        self.epoch += 1;
         Ok(())
-    }
-
-    /// The current schedule revision (see the `epoch` field).
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    /// The next simulated time (µs) at which [`advance`](Self::advance)
-    /// can change the link state — the active window's end or the next
-    /// scheduled start, whichever comes first; `u64::MAX` when no
-    /// transition is pending. Valid until the next `advance` past that
-    /// time or any mutation (detected via [`epoch`](Self::epoch)), so
-    /// batched callers can skip the per-tick window scan entirely.
-    pub fn next_edge_us(&self, now: SimTime) -> u64 {
-        let mut next = u64::MAX;
-        if let Some(idx) = self.active {
-            next = next.min(self.windows[idx].end().as_micros());
-        }
-        if let Some(w) = self.windows.iter().find(|w| w.start > now) {
-            next = next.min(w.start.as_micros());
-        }
-        next
     }
 
     /// All scheduled windows, sorted by start time.
@@ -241,7 +214,6 @@ impl FaultInjector {
             Direction::Downlink => link.downlink.set_config(config),
         }
         self.adhoc_active = true;
-        self.epoch += 1;
         self.log.push(InjectionEvent {
             time: now,
             config,
@@ -262,7 +234,6 @@ impl FaultInjector {
         });
         self.active = None;
         self.adhoc_active = false;
-        self.epoch += 1;
     }
 
     /// The complete injection log.

@@ -53,7 +53,7 @@ mod trace;
 pub use bytes::Bytes;
 pub use config::{
     DelayConfig, LossConfig, NetemConfig, RateConfig, ReorderConfig, BDP_REFERENCE_PACKET,
-    MIN_AUTO_LIMIT,
+    MAX_DELAY, MIN_AUTO_LIMIT,
 };
 pub use injector::{Direction, FaultInjector, InjectionAction, InjectionEvent, InjectionWindow};
 pub use link::{DuplexLink, Link, LinkStats};

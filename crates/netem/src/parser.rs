@@ -297,6 +297,30 @@ mod tests {
     }
 
     #[test]
+    fn delay_is_bounded_by_max_delay() {
+        use crate::{Link, Packet, PacketKind, MAX_DELAY};
+        use rdsim_units::SimTime;
+        for rule in [
+            "delay 1e300ms",
+            "delay 3601s",
+            "delay 3600s 1ms",
+            "delay 1e13ms",
+        ] {
+            let e = rule.parse::<NetemConfig>().unwrap_err();
+            assert!(e.to_string().contains("at most"), "{rule}: {e}");
+        }
+        // The bound itself is allowed, and a packet sent at the end of the
+        // longest run behind a 1 bit/s backlog still gets a release time.
+        let config: NetemConfig = "delay 3600s rate 1bit".parse().unwrap();
+        assert_eq!(config.delay.unwrap().base, MAX_DELAY);
+        let mut link = Link::with_config(config, 1);
+        let late = SimTime::from_secs(900);
+        link.send(Packet::new(0, PacketKind::Video, vec![0u8; 1_200]), late);
+        assert!(link.receive(late).is_empty());
+        assert!(link.next_delivery().unwrap() > late);
+    }
+
+    #[test]
     fn delay_with_jitter_and_correlation() {
         let c: NetemConfig = "delay 100ms 10ms 25%".parse().unwrap();
         let d = c.delay.unwrap();

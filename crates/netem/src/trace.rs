@@ -9,8 +9,7 @@
 //! timestamp until the next sample's, and the whole series compiles into
 //! back-to-back [`InjectionWindow`]s the [`FaultInjector`] replays through
 //! exactly the machinery the synthetic windows use. Nothing downstream —
-//! edge caching, run logs, digests — can tell a trace edge from a
-//! hand-scheduled one.
+//! run logs, digests — can tell a trace edge from a hand-scheduled one.
 //!
 //! # Formats
 //!
@@ -83,10 +82,9 @@ pub struct TraceSample {
 /// A measured network time-series, pre-compiled into deterministic
 /// config edges.
 ///
-/// Construction parses and validates eagerly, so replay (and the batch
-/// engine's cached-edge invariants) never see a malformed sample. Equal
-/// consecutive conditions are merged at compile time: the injector sees
-/// one window per *edge*, not one per sample.
+/// Construction parses and validates eagerly, so replay never sees a
+/// malformed sample. Equal consecutive conditions are merged at compile
+/// time: the injector sees one window per *edge*, not one per sample.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TraceSchedule {
     label: String,
@@ -104,11 +102,13 @@ impl TraceSchedule {
     /// # Errors
     ///
     /// Returns a [`TraceParseError`] naming the first malformed line:
-    /// unparsable fields, non-increasing timestamps, negative values, or
-    /// an empty series.
+    /// unparsable fields, non-increasing timestamps, negative values, a
+    /// final segment ending past the end of the simulation clock, or an
+    /// empty series.
     pub fn parse(label: &str, text: &str) -> Result<TraceSchedule, TraceParseError> {
         let mut samples: Vec<TraceSample> = Vec::new();
         let mut csv_header: Option<Vec<String>> = None;
+        let mut last_line = 0;
         for (idx, line) in text.lines().enumerate() {
             let line_no = idx + 1;
             let line = line.trim();
@@ -139,22 +139,34 @@ impl TraceSchedule {
                 }
             }
             samples.push(sample);
+            last_line = line_no;
         }
-        if samples.is_empty() {
+        let n = samples.len();
+        if n == 0 {
             return Err(TraceParseError::new(0, "no samples"));
         }
-        Ok(TraceSchedule::compile(label, &samples))
-    }
-
-    /// Compiles already-validated samples into edge windows.
-    fn compile(label: &str, samples: &[TraceSample]) -> TraceSchedule {
-        let n = samples.len();
         let hold = if n >= 2 {
             samples[n - 1].t.saturating_since(samples[n - 2].t)
         } else {
             SINGLE_SAMPLE_HOLD
         };
-        let end = samples[n - 1].t + hold;
+        let end = samples[n - 1].t.checked_add(hold).ok_or_else(|| {
+            TraceParseError::new(
+                last_line,
+                format!(
+                    "final segment from t = {} holds {} past the end of the clock",
+                    samples[n - 1].t,
+                    hold
+                ),
+            )
+        })?;
+        Ok(TraceSchedule::compile(label, &samples, end))
+    }
+
+    /// Compiles already-validated samples into edge windows, the last one
+    /// ending at `end`.
+    fn compile(label: &str, samples: &[TraceSample], end: SimTime) -> TraceSchedule {
+        let n = samples.len();
         // Merge runs of equal conditions, then emit one window per
         // non-passthrough segment; passthrough segments are gaps.
         let mut windows = Vec::new();
@@ -459,6 +471,28 @@ t,delay_ms,jitter_ms,loss_pct,rate_kbit
         assert!(e.to_string().contains("unknown CSV column"));
         let e = TraceSchedule::parse("x", "{\"t\": 0, \"delay_ms\": -3}\n").unwrap_err();
         assert!(e.to_string().contains("bad delay_ms"));
+        let e =
+            TraceSchedule::parse("x", "{\"t\": 0}\n{\"t\": 1, \"delay_ms\": 1e300}\n").unwrap_err();
+        assert_eq!(e.line, 2);
+        assert!(e.to_string().contains("at most"), "{e}");
+    }
+
+    #[test]
+    fn segment_ends_past_the_clock_are_rejected() {
+        // 1.8e13 s + the 0.8e13 s hold overflows the µs clock.
+        let jsonl = "{\"t\": 1e13, \"delay_ms\": 5}\n{\"t\": 1.8e13, \"delay_ms\": 5}\n";
+        let e = TraceSchedule::parse("x", jsonl).unwrap_err();
+        assert_eq!(e.line, 2, "{e}");
+        assert!(e.to_string().contains("past the end of the clock"), "{e}");
+        let csv = "t,delay_ms\n1e13,5\n1.8e13,5\n";
+        let e = TraceSchedule::parse("x", csv).unwrap_err();
+        assert_eq!(e.line, 3, "{e}");
+        // A lone sample saturating the clock has no room for its hold.
+        let e = TraceSchedule::parse("x", "{\"t\": 1e300}\n").unwrap_err();
+        assert_eq!(e.line, 1, "{e}");
+        // Huge timestamps are fine while the final segment still fits.
+        let fits = TraceSchedule::parse("x", "t,delay_ms\n1e13,5\n1.2e13,5\n").unwrap();
+        assert_eq!(fits.end(), SimTime::from_secs(14_000_000_000_000));
     }
 
     #[test]

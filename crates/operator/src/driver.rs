@@ -436,14 +436,6 @@ impl OperatorSubsystem for HumanDriverModel {
         let _ = Radians::ZERO;
         ControlInput::new(self.throttle, self.brake, self.wheel)
     }
-
-    fn hot_state(&self) -> Option<rdsim_core::OperatorHotState> {
-        Some(rdsim_core::OperatorHotState {
-            wheel: self.wheel,
-            steer_target: self.steer_target,
-            next_update_us: self.next_update_at.as_micros(),
-        })
-    }
 }
 
 #[cfg(test)]

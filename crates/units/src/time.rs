@@ -95,6 +95,12 @@ impl SimTime {
     pub fn checked_since(self, earlier: SimTime) -> Option<SimDuration> {
         self.0.checked_sub(earlier.0).map(SimDuration)
     }
+
+    /// Checked addition: `None` if the instant would overflow the clock.
+    #[inline]
+    pub fn checked_add(self, d: SimDuration) -> Option<SimTime> {
+        self.0.checked_add(d.0).map(SimTime)
+    }
 }
 
 impl SimDuration {

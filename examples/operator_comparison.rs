@@ -2,16 +2,14 @@
 //! network disturbances — the correlation the paper's questionnaire was
 //! designed to probe (§V.E, §VII).
 //!
-//! All nine subject × fault cells are independent sessions, so they run
-//! through the SoA batch engine ([`SessionBatch`]) in lockstep sweeps of
-//! up to [`BATCH`] sessions — bit-identical to stepping them one at a
-//! time, just faster.
+//! Each of the nine subject × fault cells is an independent session,
+//! driven to completion with [`RdsSession::run`] before the next is built.
 //!
 //! ```text
 //! cargo run --release --example operator_comparison
 //! ```
 
-use rdsim::core::{FixedRun, RdsSession, RdsSessionConfig, SessionBatch};
+use rdsim::core::{RdsSession, RdsSessionConfig};
 use rdsim::metrics::{steering_reversal_rate, SrrConfig};
 use rdsim::netem::NetemConfig;
 use rdsim::operator::{
@@ -21,10 +19,6 @@ use rdsim::roadnet::town05;
 use rdsim::simulator::World;
 use rdsim::units::{MetersPerSecond, SimDuration};
 use rdsim::vehicle::VehicleSpec;
-
-/// Default lockstep width for the batch engine — the sensible resting
-/// state now that the SoA sweep makes wide batches cheap.
-const BATCH: usize = 16;
 
 fn subject(
     name: &str,
@@ -69,12 +63,11 @@ fn main() {
         ("5%", Some("loss 5%".parse().expect("rule"))),
     ];
 
-    // Build every subject × fault cell (90 s of lane driving each) …
+    // Drive every subject × fault cell for 90 s of lane driving.
     let net = town05();
     let lane = net.spawn_point("ego-start").expect("spawn").lane;
     let config = RdsSessionConfig::default();
-    let steps = SimDuration::from_secs(90).div_steps(config.dt);
-    let mut cells = Vec::new();
+    let mut results: Vec<(f64, f64)> = Vec::new();
     for profile in &subjects {
         for (i, (_, fault)) in faults.iter().enumerate() {
             let seed = 555 + i as u64;
@@ -86,20 +79,8 @@ fn main() {
             }
             let mut driver = HumanDriverModel::new(profile, net.clone(), seed);
             driver.set_instruction(Instruction::drive(lane, MetersPerSecond::new(12.0)));
-            cells.push((session, driver));
-        }
-    }
+            session.run(&mut driver, SimDuration::from_secs(90));
 
-    // … and step them to completion in lockstep groups of BATCH.
-    let mut results: Vec<(f64, f64)> = Vec::new();
-    let mut cells = cells.into_iter().peekable();
-    while cells.peek().is_some() {
-        let mut batch = SessionBatch::new();
-        for (session, driver) in cells.by_ref().take(BATCH) {
-            batch.push(session, FixedRun::new(driver, steps));
-        }
-        batch.run_to_completion();
-        results.extend(batch.finish().into_iter().map(|(session, _)| {
             let log = session.into_log();
             let srr = steering_reversal_rate(&log.steering_series(), &SrrConfig::default())
                 .map(|r| r.rate_per_min)
@@ -111,8 +92,8 @@ fn main() {
                 .filter_map(|s| net.project(s.position))
                 .map(|p| p.lateral.get().abs())
                 .fold(0.0f64, f64::max);
-            (srr, worst_lat)
-        }));
+            results.push((srr, worst_lat));
+        }
     }
 
     println!("90 s of lane driving; cells: SRR rev/min (worst lateral m)\n");

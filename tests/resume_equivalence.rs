@@ -58,7 +58,7 @@ fn interrupted_then_resumed_equals_single_shot() {
     );
 
     // The same 4 jobs as interrupt(2) + resume-for-2, on different
-    // schedules (serial/unbatched, then 2 workers with lockstep pairs).
+    // schedules (serial, one run per task; then 2 workers, two per task).
     let ck = dir.join("campaign.jsonl");
     let mut part1 = opts(11, 1, 1);
     part1.interrupt_after = Some(2);

@@ -1,9 +1,9 @@
 //! Trace replay must be schedule-invisible, exactly like every other
 //! fault source: for a fixed seed, a run driven by a measured-network
-//! trace digests identically whether it executes serially, through the
-//! SoA lockstep batch, or across worker threads — and the digest pins
-//! both the trace's content (through the injection-event log) and its
-//! identity (through the `trace:<label>` condition).
+//! trace digests identically whether it executes serially, in executor
+//! chunks of several runs per task, or across worker threads — and the
+//! digest pins both the trace's content (through the injection-event log)
+//! and its identity (through the `trace:<label>` condition).
 //!
 //! The release-mode, whole-binary variant (`repro --quick --trace-in
 //! examples/traces/5g_urban.jsonl`, byte-identical stdout across
@@ -12,8 +12,7 @@
 
 use rdsim::core::{Digestible, RunKind};
 use rdsim::experiments::{
-    execute_ordered, run_digest, run_protocol, run_protocol_batch, run_seed, ProtocolJob,
-    ScenarioConfig,
+    execute_ordered_batched, run_digest, run_protocol, run_seed, ScenarioConfig,
 };
 use rdsim::netem::TraceSchedule;
 use rdsim::operator::SubjectProfile;
@@ -45,38 +44,32 @@ fn matrix() -> Vec<(&'static str, RunKind)> {
     ]
 }
 
-fn digests_with_jobs(jobs: usize) -> Vec<u64> {
+/// The matrix's run digests on `jobs` workers, `batch` runs per executor
+/// task (each task runs its chunk one session after another).
+fn digests_with(jobs: usize, batch: usize) -> Vec<u64> {
     let config = trace_config("5g_urban");
-    execute_ordered(matrix(), jobs, |(subject, kind)| {
-        let profile = SubjectProfile::typical(subject);
-        let seed = run_seed(4242, &profile.id, kind);
-        run_digest(&run_protocol(&profile, kind, seed, &config))
+    execute_ordered_batched(matrix(), jobs, batch, |chunk| {
+        chunk
+            .into_iter()
+            .map(|(subject, kind)| {
+                let profile = SubjectProfile::typical(subject);
+                let seed = run_seed(4242, &profile.id, kind);
+                run_digest(&run_protocol(&profile, kind, seed, &config))
+            })
+            .collect()
     })
 }
 
 #[test]
 fn trace_runs_are_identical_serial_batched_and_parallel() {
-    let serial = digests_with_jobs(1);
-    let parallel = digests_with_jobs(4);
+    let serial = digests_with(1, 1);
+    let parallel = digests_with(4, 1);
     assert_eq!(serial, parallel, "worker count leaked into a trace run");
-
-    // The same four runs as one SoA lockstep batch (width 4 > any
-    // single-session fast path, dense trace edges throughout).
-    let config = trace_config("5g_urban");
-    let jobs: Vec<ProtocolJob> = matrix()
-        .into_iter()
-        .map(|(subject, kind)| {
-            let profile = SubjectProfile::typical(subject);
-            ProtocolJob {
-                seed: run_seed(4242, &profile.id, kind),
-                profile,
-                kind,
-                config: config.clone(),
-            }
-        })
-        .collect();
-    let batched: Vec<u64> = run_protocol_batch(jobs).iter().map(run_digest).collect();
-    assert_eq!(serial, batched, "lockstep batching leaked into a trace run");
+    // All four runs as one executor chunk, and as chunks of three and one.
+    for batch in [4, 3] {
+        let batched = digests_with(2, batch);
+        assert_eq!(serial, batched, "executor chunking leaked into a trace run");
+    }
 }
 
 #[test]
