@@ -541,6 +541,7 @@ pub fn run_campaign(opts: &CampaignOptions) -> Result<CampaignOutcome, String> {
 mod tests {
     use super::*;
     use crate::run_protocol;
+    use proptest::prelude::*;
     use rdsim_operator::SubjectProfile;
 
     fn short_config() -> ScenarioConfig {
@@ -709,5 +710,68 @@ mod tests {
         .expect("write");
         assert!(load_checkpoint(&path, 44, 36).is_err());
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Printable ASCII lines, blank ones included.
+    fn ascii_line() -> impl Strategy<Value = String> {
+        proptest::collection::vec(32u8..127, 0..48)
+            .prop_map(|bytes| bytes.into_iter().map(char::from).collect())
+    }
+
+    /// A line nested `depth` arrays or objects deep: unterminated, or
+    /// balanced and so well-formed but for its depth.
+    fn nested_line(shape: u8, depth: usize) -> String {
+        match shape {
+            0 => "[".repeat(depth),
+            1 => format!("{{\"cells\":{}{}}}", "[".repeat(depth), "]".repeat(depth)),
+            _ => format!("{}0{}", "{\"a\":".repeat(depth), "}".repeat(depth)),
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn malformed_checkpoint_lines_are_errors(
+            ascii in proptest::collection::vec(ascii_line(), 8),
+            nested in proptest::collection::vec((0u8..3, 50_000usize..200_000), 2),
+        ) {
+            let dir = std::env::temp_dir()
+                .join(format!("rdsim-checkpoint-props-{}", std::process::id()));
+            fs::create_dir_all(&dir).expect("tmp dir");
+            let path = dir.join("bad.jsonl");
+            let header = checkpoint_header(3, 36);
+            // A valid summary after the bad line, so the bad line is never
+            // the torn tail a crash may leave.
+            let valid = RunSummary {
+                scenario: SCENARIO.into(),
+                subject: "T1".into(),
+                kind: "golden".into(),
+                ..RunSummary::default()
+            }
+            .to_json();
+            let lines = ascii
+                .iter()
+                .cloned()
+                .chain(nested.iter().map(|&(shape, depth)| nested_line(shape, depth)));
+            for line in lines {
+                fs::write(&path, format!("{line}\n{valid}\n")).expect("write");
+                let err = load_checkpoint(&path, 3, 36).expect_err("a bad header was accepted");
+                prop_assert!(
+                    err.starts_with("checkpoint header is not JSON")
+                        || err.ends_with("is not a campaign checkpoint"),
+                    "{}",
+                    err
+                );
+                fs::write(&path, format!("{header}\n{line}\n{valid}\n")).expect("write");
+                let loaded = load_checkpoint(&path, 3, 36);
+                if line.trim().is_empty() {
+                    // Blank lines are skipped by design.
+                    prop_assert_eq!(loaded.map(|store| store.runs()), Ok(1));
+                } else {
+                    let err = loaded.expect_err("a bad line was accepted");
+                    prop_assert!(err.starts_with("checkpoint line 2:"), "{}", err);
+                }
+            }
+            let _ = fs::remove_dir_all(&dir);
+        }
     }
 }

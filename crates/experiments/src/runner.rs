@@ -301,7 +301,7 @@ fn build_run(
         .unwrap_or(config.laps as f64 * course.lap_length() - 40.0);
     let consumed = vec![vec![false; plan.fault_points.len()]; laps_planned as usize];
     let ego = session.world().ego_id().expect("ego spawned");
-    let prev_s = course.chain_s(session.world().network(), ego_pos(&session, ego));
+    let (prev_s, _) = course.chain_s(session.world().network(), ego_pos(&session, ego));
     let max_steps = config.max_duration.div_steps(config.dt);
 
     let controller = ProtocolDriver {
@@ -374,10 +374,7 @@ impl ProtocolDriver {
         let course = &self.course;
         let plan = &self.plan;
         let pos = ego_pos(session, self.ego);
-        let s = {
-            let world = session.world();
-            course.chain_s(world.network(), pos)
-        };
+        let (s, outer_lane) = course.chain_s(session.world().network(), pos);
         // Unwrapped progress and lap counting.
         let mut delta = s - self.prev_s;
         if delta < -course.lap_length() / 2.0 {
@@ -393,9 +390,9 @@ impl ProtocolDriver {
         let in_slalom = course.within(s, plan.slalom.0, plan.slalom.1);
         let in_overtake = course.within(s, plan.overtake.0, plan.overtake.1);
         let on_highway = course.within(s, plan.highway.0, plan.highway.1);
-        let (chain, speed) = if in_slalom || in_overtake {
+        let (lane, speed) = if in_slalom || in_overtake {
             (
-                course.inner(),
+                course.nearest_of(session.world().network(), course.inner(), pos),
                 if on_highway {
                     self.config.highway_speed
                 } else {
@@ -403,13 +400,9 @@ impl ProtocolDriver {
                 },
             )
         } else if on_highway {
-            (course.outer(), self.config.highway_speed)
+            (outer_lane, self.config.highway_speed)
         } else {
-            (course.outer(), self.config.urban_speed)
-        };
-        let lane = {
-            let world = session.world();
-            course.nearest_of(world.network(), chain, pos)
+            (outer_lane, self.config.urban_speed)
         };
         if self.progress >= self.target {
             self.stopping = true;
@@ -425,14 +418,16 @@ impl ProtocolDriver {
         if let Some(lead) = self.lead {
             let lead_pos = ego_pos(session, lead);
             let world = session.world();
-            let lead_s = course.chain_s(world.network(), lead_pos);
+            let (lead_s, lead_outer) = course.chain_s(world.network(), lead_pos);
             let lead_in_zone = course.within(lead_s, plan.slalom.0 - 25.0, plan.slalom.1 + 10.0);
-            let (lead_chain, lead_speed) = if lead_in_zone {
-                (course.inner(), MetersPerSecond::new(13.0))
+            let (lead_lane, lead_speed) = if lead_in_zone {
+                (
+                    course.nearest_of(world.network(), course.inner(), lead_pos),
+                    MetersPerSecond::new(13.0),
+                )
             } else {
-                (course.outer(), self.config.lead_speed)
+                (lead_outer, self.config.lead_speed)
             };
-            let lead_lane = course.nearest_of(world.network(), lead_chain, lead_pos);
             let cfg = LaneFollowConfig::urban(lead_speed).with_lane(lead_lane);
             session
                 .world_mut()

@@ -83,17 +83,20 @@ impl CourseMap {
     }
 
     /// Chain position (arc length from the course origin, within one lap)
-    /// of a world point, measured against the outer chain.
-    pub fn chain_s(&self, net: &RoadNetwork, position: Vec2) -> f64 {
+    /// of a world point, measured against the outer chain, and the outer
+    /// lane it was measured on: the lane
+    /// [`nearest_of`](Self::nearest_of) returns for the outer chain.
+    pub fn chain_s(&self, net: &RoadNetwork, position: Vec2) -> (f64, LaneId) {
         let proj = net
             .project_among(&self.outer, position)
             .expect("outer chain is non-empty");
+        let lane = proj.position.lane;
         let idx = self
             .outer
             .iter()
-            .position(|&l| l == proj.position.lane)
+            .position(|&l| l == lane)
             .expect("projected lane is on the chain");
-        self.offsets[idx] + proj.position.s.get()
+        (self.offsets[idx] + proj.position.s.get(), lane)
     }
 
     /// The nearest lane of the given chain to a world point.
@@ -205,6 +208,7 @@ mod tests {
     use super::*;
     use rdsim_math::RngStream;
     use rdsim_roadnet::town05;
+    use rdsim_units::Meters;
 
     #[test]
     fn course_map_walks_the_ring() {
@@ -228,15 +232,15 @@ mod tests {
     fn chain_s_increases_along_south_avenue() {
         let net = town05();
         let course = CourseMap::new(&net);
-        let s1 = course.chain_s(&net, Vec2::new(100.0, 0.0));
-        let s2 = course.chain_s(&net, Vec2::new(400.0, 0.0));
+        let (s1, _) = course.chain_s(&net, Vec2::new(100.0, 0.0));
+        let (s2, _) = course.chain_s(&net, Vec2::new(400.0, 0.0));
         assert!((s1 - 100.0).abs() < 1.0);
         assert!((s2 - 400.0).abs() < 1.0);
         // East side: past the south segment + SE corner.
-        let s3 = course.chain_s(&net, Vec2::new(650.0, 200.0));
+        let (s3, _) = course.chain_s(&net, Vec2::new(650.0, 200.0));
         assert!(s3 > 600.0 && s3 < 1057.0, "east side s = {s3}");
         // North (highway).
-        let s4 = course.chain_s(&net, Vec2::new(300.0, 400.0));
+        let (s4, _) = course.chain_s(&net, Vec2::new(300.0, 400.0));
         assert!(s4 > 1057.0 && s4 < 1657.0, "north s = {s4}");
     }
 
@@ -261,6 +265,25 @@ mod tests {
         assert_eq!(inner, LaneId(1));
         let outer = course.nearest_of(&net, course.outer(), p);
         assert_eq!(outer, LaneId(0));
+    }
+
+    #[test]
+    fn chain_s_lane_is_the_nearest_outer_lane() {
+        let net = town05();
+        let course = CourseMap::new(&net);
+        // Lane ends are the joints; the other fractions lie between them.
+        // Offsets reach across both lanes of the road and off it.
+        for &lane in course.outer().iter().chain(course.inner()) {
+            let centerline = net.lane(lane).centerline();
+            let length = net.lane(lane).length();
+            for frac in [0.0, 1e-6, 0.25, 0.5, 1.0 - 1e-6, 1.0] {
+                for offset in [-6.0, -1.75, 0.0, 1.75, 3.5, 8.0] {
+                    let p = centerline.offset_point_at(length * frac, Meters::new(offset));
+                    let (_, outer) = course.chain_s(&net, p);
+                    assert_eq!(outer, course.nearest_of(&net, course.outer(), p), "at {p}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -6,8 +6,11 @@
 //! grammar's own vocabulary and extreme numbers (`1e300`, `-0`, `NaN`,
 //! `inf`, 20-digit integers, timestamps at the end of the µs clock), so a
 //! good share of them parse. Every config a parse accepts must survive one
-//! `Link::send` and `receive` at t = 0. The vendored proptest runs a fixed
-//! 64 cases, so each case checks a batch of inputs.
+//! `Link::send` and `receive` at t = 0. Traces also carry JSONL lines
+//! nested tens of thousands of levels deep, far past what the JSON parser
+//! could recurse through on a test thread's stack; each must be rejected
+//! with an error naming its line. The vendored proptest runs a fixed 64
+//! cases, so each case checks a batch of inputs.
 
 use proptest::prelude::*;
 use rdsim_netem::{Link, NetemConfig, Packet, PacketKind, TraceSchedule};
@@ -46,6 +49,9 @@ const TIMESTAMPS: [&str; 8] = [
     "18446744073709551616",
     "1e300",
 ];
+
+/// Nesting depths of the deep JSONL lines.
+const DEPTHS: std::ops::Range<usize> = 50_000..200_000;
 
 fn num(i: usize) -> &'static str {
     NUMBERS[i % NUMBERS.len()]
@@ -118,17 +124,38 @@ fn rule() -> impl Strategy<Value = String> {
     })
 }
 
+/// A JSONL line `depth` arrays or objects deep: unterminated, or
+/// balanced and so well-formed but for its depth.
+fn nested_line(shape: u8, depth: usize) -> String {
+    match shape {
+        0 => format!("{{\"t\": {}", "[".repeat(depth)),
+        1 => format!(
+            "{{\"t\": 1, \"x\": {}{}}}",
+            "[".repeat(depth),
+            "]".repeat(depth)
+        ),
+        _ => format!(
+            "{{\"x\": {}0{}}}",
+            "{\"a\": ".repeat(depth),
+            "}".repeat(depth)
+        ),
+    }
+}
+
 /// A trace of one to four lines: JSONL samples, CSV rows (under a header
-/// half the time) or arbitrary ASCII. A line's timestamp usually steps
-/// forward through [`TIMESTAMPS`], and each optional field appears about
-/// a quarter of the time.
-fn trace() -> impl Strategy<Value = String> {
+/// half the time), deeply nested JSONL or arbitrary ASCII. A line's
+/// timestamp usually steps forward through [`TIMESTAMPS`], and each
+/// optional field appears about a quarter of the time. Alongside the text
+/// comes the first nested line's number and the length of the text before
+/// it.
+fn trace() -> impl Strategy<Value = (String, Option<(usize, usize)>)> {
     let line = (
-        0u8..8,
+        0u8..9,
         1usize..3,
         0u8..16,
         proptest::collection::vec((0u8..4, 0usize..64), 4usize),
         ascii_line(),
+        (0u8..3, DEPTHS),
     );
     (
         proptest::bool::ANY,
@@ -141,8 +168,9 @@ fn trace() -> impl Strategy<Value = String> {
             if csv {
                 text.push_str("t,delay_ms,jitter_ms,loss_pct,rate_kbit\n");
             }
+            let mut nested = None;
             let mut ti = start;
-            for (kind, step, unordered, fields, ascii) in lines {
+            for (kind, step, unordered, fields, ascii, (shape, depth)) in lines {
                 let t = if unordered == 0 {
                     num(ti)
                 } else {
@@ -164,11 +192,16 @@ fn trace() -> impl Strategy<Value = String> {
                         let cells: Vec<&str> = values.map(|v| v.unwrap_or("")).collect();
                         text.push_str(&format!("{t},{}", cells.join(",")));
                     }
-                    _ => text.push_str(&ascii),
+                    7 => text.push_str(&ascii),
+                    _ => {
+                        let line_no = text.lines().count() + 1;
+                        nested.get_or_insert((line_no, text.len()));
+                        text.push_str(&nested_line(shape, depth));
+                    }
                 }
                 text.push('\n');
             }
-            text
+            (text, nested)
         })
 }
 
@@ -200,8 +233,20 @@ proptest! {
         traces in proptest::collection::vec(trace(), BATCH),
         ascii in proptest::collection::vec(ascii_line(), BATCH),
     ) {
-        for text in traces.iter().chain(&ascii) {
-            if let Ok(trace) = TraceSchedule::parse("prop", text) {
+        let plain = ascii.iter().map(|text| (text.as_str(), None));
+        let generated = traces.iter().map(|(text, nested)| (text.as_str(), *nested));
+        for (text, nested) in generated.chain(plain) {
+            let parsed = TraceSchedule::parse("prop", text);
+            if let Some((line, prefix)) = nested {
+                // The nested line is rejected with its own number, unless
+                // a line before it already fails on its own.
+                let err = parsed.expect_err("a nested line was accepted");
+                let before = TraceSchedule::parse("prop", &text[..prefix]);
+                assert!(
+                    err.line == line || before.is_err_and(|e| e.line == err.line),
+                    "nested line {line} reported as {err}"
+                );
+            } else if let Ok(trace) = parsed {
                 for window in trace.windows() {
                     // A wrapped end (release builds do not trap the
                     // overflow) would land before the last window's start.

@@ -20,6 +20,13 @@
 
 use std::fmt::Write as _;
 
+/// Deepest array/object nesting [`JsonValue::parse`] accepts. The parser
+/// recurses once per level, so an unbounded depth lets one line of `[`s
+/// from a trace file or a checkpoint overflow the stack, which aborts the
+/// process instead of returning an error. Every document this workspace
+/// writes nests only a few levels, far below the bound.
+pub const MAX_JSON_DEPTH: usize = 128;
+
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum JsonValue {
@@ -55,11 +62,14 @@ impl std::fmt::Display for JsonError {
 impl std::error::Error for JsonError {}
 
 impl JsonValue {
-    /// Parses one JSON document; trailing non-whitespace is an error.
+    /// Parses one JSON document; trailing non-whitespace, or arrays and
+    /// objects nested more than [`MAX_JSON_DEPTH`] levels deep, are an
+    /// error.
     pub fn parse(input: &str) -> Result<JsonValue, JsonError> {
         let mut p = Parser {
             bytes: input.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let value = p.value()?;
@@ -222,6 +232,8 @@ pub fn write_f64(out: &mut String, v: f64) {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -262,8 +274,8 @@ impl<'a> Parser<'a> {
 
     fn value(&mut self) -> Result<JsonValue, JsonError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(JsonValue::Str(self.string()?)),
             Some(b't') => {
                 self.literal("true", "expected 'true'")?;
@@ -281,6 +293,20 @@ impl<'a> Parser<'a> {
             Some(_) => Err(self.err("unexpected character")),
             None => Err(self.err("unexpected end of input")),
         }
+    }
+
+    /// Parses one array or object, at most [`MAX_JSON_DEPTH`] levels deep.
+    fn nested(
+        &mut self,
+        container: fn(&mut Self) -> Result<JsonValue, JsonError>,
+    ) -> Result<JsonValue, JsonError> {
+        if self.depth == MAX_JSON_DEPTH {
+            return Err(self.err("arrays and objects nested too deep"));
+        }
+        self.depth += 1;
+        let value = container(self);
+        self.depth -= 1;
+        value
     }
 
     fn object(&mut self) -> Result<JsonValue, JsonError> {
@@ -512,6 +538,24 @@ mod tests {
         ] {
             assert!(JsonValue::parse(bad).is_err(), "accepted {bad:?}");
         }
+    }
+
+    #[test]
+    fn nesting_past_the_bound_is_an_error_not_a_stack_overflow() {
+        let err = JsonValue::parse(&"[".repeat(200_000)).unwrap_err();
+        assert_eq!(err.at, MAX_JSON_DEPTH, "{err}");
+        let err = JsonValue::parse(&"{\"a\":".repeat(200_000)).unwrap_err();
+        assert_eq!(err.at, MAX_JSON_DEPTH * 5, "{err}");
+        // Balanced, so well-formed but for its depth.
+        let deep = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(JsonValue::parse(&deep(MAX_JSON_DEPTH)).is_ok());
+        assert_eq!(
+            JsonValue::parse(&deep(MAX_JSON_DEPTH + 1)).unwrap_err().at,
+            MAX_JSON_DEPTH
+        );
+        // Depth counts open containers, not containers seen.
+        let wide = format!("[{}0]", "[[]],".repeat(MAX_JSON_DEPTH * 2));
+        assert!(JsonValue::parse(&wide).is_ok());
     }
 
     #[test]

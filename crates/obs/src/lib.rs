@@ -63,7 +63,7 @@ pub use chrome::chrome_trace_json;
 pub use ci::{wilson_interval, BinomialCi, Z_95, Z_99};
 pub use event::Event;
 pub use hist::{bucket_bounds, bucket_index, Histogram, HistogramSnapshot, BUCKETS};
-pub use json::{write_f64, write_json_string, JsonError, JsonValue};
+pub use json::{write_f64, write_json_string, JsonError, JsonValue, MAX_JSON_DEPTH};
 pub use metrics::{Counter, Gauge};
 pub use progress::{ProgressMeter, WorkerStat};
 pub use recorder::{Recorder, Registry, Span};

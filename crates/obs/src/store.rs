@@ -1036,6 +1036,34 @@ mod tests {
     }
 
     #[test]
+    fn written_documents_nest_far_below_the_parser_bound() {
+        fn depth(v: &JsonValue) -> usize {
+            match v {
+                JsonValue::Arr(items) => 1 + items.iter().map(depth).max().unwrap_or(0),
+                JsonValue::Obj(fields) => {
+                    1 + fields.iter().map(|(_, v)| depth(v)).max().unwrap_or(0)
+                }
+                _ => 0,
+            }
+        }
+        let mut store = CampaignStore::new();
+        let runs = summaries();
+        for s in &runs {
+            store.fold(s);
+        }
+        let mut documents = vec![store.report_json(crate::Z_95), store.timings_json()];
+        documents.extend(runs.iter().map(RunSummary::to_json));
+        for doc in &documents {
+            let parsed = JsonValue::parse(doc).expect("a written document parses");
+            let levels = depth(&parsed);
+            assert!(
+                levels <= crate::MAX_JSON_DEPTH / 16,
+                "{levels} levels: {doc}"
+            );
+        }
+    }
+
+    #[test]
     fn pooled_cell_matches_brute_force_over_prefixes() {
         let mut store = CampaignStore::new();
         for (i, (subject, collided)) in [

@@ -1,6 +1,6 @@
 //! NPC traffic control: IDM car-following and lane-keeping steering.
 
-use rdsim_roadnet::{LaneId, RoadNetwork};
+use rdsim_roadnet::{LaneId, LanePosition, RoadNetwork};
 use rdsim_units::{Meters, MetersPerSecond, MetersPerSecond2};
 use rdsim_vehicle::{ControlInput, VehicleSpec, VehicleState};
 use serde::{Deserialize, Serialize};
@@ -85,19 +85,19 @@ impl Default for LaneKeeper {
 }
 
 impl LaneKeeper {
-    /// Steering command in `[-1, 1]` to track `lane` (following successors
-    /// as needed) from the current state.
+    /// Steering command in `[-1, 1]` to track a lane (following
+    /// successors as needed) from the current state; `pos` is the
+    /// vehicle's projection onto that lane.
     pub fn steer(
         &self,
         net: &RoadNetwork,
-        lane: LaneId,
+        pos: LanePosition,
         state: &VehicleState,
         spec: &VehicleSpec,
     ) -> f64 {
-        let proj = net.project_onto_lane(lane, state.position());
         let lookahead =
             Meters::new(self.min_lookahead.get() + self.lookahead_gain * state.speed.get().abs());
-        let target_pos = net.advance(proj.position, lookahead);
+        let target_pos = net.advance(pos, lookahead);
         let target_lane = net.lane(target_pos.lane);
         let target = target_lane
             .centerline()
@@ -170,18 +170,19 @@ impl LaneFollowConfig {
         }
     }
 
-    /// Full control computation for one step.
+    /// Full control computation for one step; `pos` is the vehicle's
+    /// projection onto the lane it follows.
     pub fn control(
         &self,
         net: &RoadNetwork,
-        lane: LaneId,
+        pos: LanePosition,
         state: &VehicleState,
         spec: &VehicleSpec,
         leader: Option<(Meters, MetersPerSecond)>,
     ) -> ControlInput {
         let accel = idm_acceleration(&self.idm, state.speed, leader);
         let (throttle, brake) = self.pedals(accel, spec);
-        let steer = self.keeper.steer(net, lane, state, spec);
+        let steer = self.keeper.steer(net, pos, state, spec);
         ControlInput::new(throttle, brake, steer)
     }
 }
@@ -196,6 +197,11 @@ mod tests {
 
     fn params() -> IdmParams {
         IdmParams::urban(MetersPerSecond::new(14.0))
+    }
+
+    /// Where `state` projects onto `lane`.
+    fn on_lane(net: &RoadNetwork, lane: LaneId, state: &VehicleState) -> LanePosition {
+        net.project_onto_lane(lane, state.position()).position
     }
 
     #[test]
@@ -260,14 +266,14 @@ mod tests {
             Pose2::new(Vec2::new(50.0, 1.5), rdsim_units::Radians::new(0.0)),
             MetersPerSecond::new(10.0),
         );
-        let steer = keeper.steer(&net, lane, &state, &spec);
+        let steer = keeper.steer(&net, on_lane(&net, lane, &state), &state, &spec);
         assert!(steer < -0.01, "steer {steer}");
         // Offset right: steer left.
         let state = VehicleState::moving(
             Pose2::new(Vec2::new(50.0, -1.5), rdsim_units::Radians::new(0.0)),
             MetersPerSecond::new(10.0),
         );
-        let steer = keeper.steer(&net, lane, &state, &spec);
+        let steer = keeper.steer(&net, on_lane(&net, lane, &state), &state, &spec);
         assert!(steer > 0.01, "steer {steer}");
     }
 
@@ -285,7 +291,7 @@ mod tests {
             Pose2::new(Vec2::new(50.0, 0.0), rdsim_units::Radians::new(0.0)),
             MetersPerSecond::new(5.0),
         );
-        assert!(keeper.steer(&net, lane, &state, &spec) < -0.01);
+        assert!(keeper.steer(&net, on_lane(&net, lane, &state), &state, &spec) < -0.01);
     }
 
     #[test]
@@ -313,12 +319,13 @@ mod tests {
             Pose2::new(Vec2::new(50.0, 0.0), rdsim_units::Radians::new(0.0)),
             MetersPerSecond::new(5.0),
         );
-        let c = cfg.control(&net, lane, &state, &spec, None);
+        let pos = on_lane(&net, lane, &state);
+        let c = cfg.control(&net, pos, &state, &spec, None);
         // IDM max accel 1.5 m/s² on a 3.5 m/s² powertrain ⇒ ~0.4 throttle.
         assert!(c.throttle.get() > 0.3, "below desired speed: accelerate");
         let c_blocked = cfg.control(
             &net,
-            lane,
+            pos,
             &state,
             &spec,
             Some((Meters::new(3.0), MetersPerSecond::new(5.0))),
@@ -369,7 +376,7 @@ mod tests {
                 Pose2::new(Vec2::new(x, y), rdsim_units::Radians::new(h)),
                 MetersPerSecond::new(v),
             );
-            let s = keeper.steer(&net, lane, &state, &spec);
+            let s = keeper.steer(&net, on_lane(&net, lane, &state), &state, &spec);
             prop_assert!((-1.0..=1.0).contains(&s));
         }
     }

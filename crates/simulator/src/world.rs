@@ -6,7 +6,7 @@ use crate::{
     LaneInvasionEvent, WorldSnapshot,
 };
 use rdsim_math::RngStream;
-use rdsim_roadnet::{LaneId, LanePosition, RoadNetwork};
+use rdsim_roadnet::{LaneId, LanePosition, LaneProjection, RoadNetwork};
 use rdsim_units::{Meters, MetersPerSecond, Ratio, SimDuration, SimTime};
 use rdsim_vehicle::{ControlInput, VehicleSpec, VehicleState};
 use serde::{Deserialize, Serialize};
@@ -26,6 +26,13 @@ pub struct Weather {
 pub struct World {
     net: RoadNetwork,
     actors: Vec<Actor>,
+    /// Each actor's whole-network projection, parallel to `actors`:
+    /// `projections[i] == net.project(actors[i].state().position())`.
+    /// Refreshed wherever a position changes (`spawn`, `set_state` behind
+    /// both teleports, the integrate pass of `step`), so the per-tick
+    /// readers (control decisions, leader search, lead-gap logging) never
+    /// project an actor twice.
+    projections: Vec<Option<LaneProjection>>,
     time: SimTime,
     frame_hint: u64,
     weather: Weather,
@@ -51,6 +58,7 @@ impl World {
         World {
             net,
             actors: Vec::new(),
+            projections: Vec::new(),
             time: SimTime::ZERO,
             frame_hint: 0,
             weather: Weather::default(),
@@ -118,6 +126,7 @@ impl World {
         let pose = self.net.pose_at(position);
         let id = ActorId(self.actors.len() as u32);
         let state = VehicleState::moving(pose, speed);
+        self.projections.push(self.net.project(state.position()));
         self.actors
             .push(Actor::new(id, kind, spec, behavior, state));
         if kind == ActorKind::Ego {
@@ -222,17 +231,24 @@ impl World {
     /// Places an actor at an arbitrary world pose, at rest (e.g. parked
     /// vehicles offset from the lane centre).
     pub fn teleport_pose(&mut self, id: ActorId, pose: rdsim_math::Pose2) {
-        self.actors[id.0 as usize].set_state(VehicleState::at_pose(pose));
+        self.set_state(id, VehicleState::at_pose(pose));
     }
 
     /// Teleports an actor (used when resetting between runs).
     pub fn teleport(&mut self, id: ActorId, position: LanePosition, speed: MetersPerSecond) {
         let pose = self.net.pose_at(position);
-        self.actors[id.0 as usize].set_state(VehicleState::moving(pose, speed));
+        self.set_state(id, VehicleState::moving(pose, speed));
         if Some(id) == self.ego {
             self.ego_lane = Some(position.lane);
             self.ego_was_outside = false;
         }
+    }
+
+    /// Replaces an actor's state and re-projects it.
+    fn set_state(&mut self, id: ActorId, state: VehicleState) {
+        let i = id.0 as usize;
+        self.actors[i].set_state(state);
+        self.projections[i] = self.net.project(state.position());
     }
 
     /// Stamps the camera frame id used for event attribution.
@@ -264,15 +280,32 @@ impl World {
         controls.clear();
         controls.extend((0..self.actors.len()).map(|i| self.decide_control(i)));
 
-        // Pass 2: integrate.
-        for (actor, control) in self.actors.iter_mut().zip(&controls) {
+        // Pass 2: integrate, then re-project whoever moved.
+        for ((actor, control), proj) in self
+            .actors
+            .iter_mut()
+            .zip(&controls)
+            .zip(&mut self.projections)
+        {
             actor.integrate(control, dt_s);
+            // `integrate` returns before touching a Stationary actor's
+            // state, so its projection is still exact.
+            if !actor.is_stationary_behavior() {
+                *proj = self.net.project(actor.state().position());
+            }
         }
         self.control_scratch = controls;
 
         // Pass 3: sensors.
         self.sense_collisions();
         self.sense_lane_invasion();
+
+        debug_assert!(
+            self.actors.iter().zip(&self.projections).all(|(a, p)| {
+                projection_bits(p) == projection_bits(&self.net.project(a.state().position()))
+            }),
+            "stale projection column"
+        );
     }
 
     fn decide_control(&self, index: usize) -> ControlInput {
@@ -281,19 +314,18 @@ impl World {
             Behavior::External => actor.external_control,
             Behavior::Stationary => ControlInput::COAST.with_handbrake(true),
             Behavior::LaneFollow(cfg) => {
-                let lane = match cfg.lane_override {
-                    Some(lane) => lane,
-                    None => {
+                // The nearest lane's projection is the column entry itself:
+                // `project` returns `project_onto_lane` of the lane it picks.
+                let pos = match cfg.lane_override {
+                    Some(lane) => {
                         self.net
-                            .project(actor.state().position())
-                            .expect("network has lanes")
+                            .project_onto_lane(lane, actor.state().position())
                             .position
-                            .lane
                     }
+                    None => self.projections[index].expect("network has lanes").position,
                 };
-                let proj = self.net.project_onto_lane(lane, actor.state().position());
-                let leader = self.find_leader(index, proj.position, cfg.leader_horizon);
-                cfg.control(&self.net, lane, actor.state(), actor.spec(), leader)
+                let leader = self.find_leader(index, pos, cfg.leader_horizon);
+                cfg.control(&self.net, pos, actor.state(), actor.spec(), leader)
             }
         }
     }
@@ -308,14 +340,11 @@ impl World {
     ) -> Option<(Meters, MetersPerSecond)> {
         let me = &self.actors[self_index];
         let mut best: Option<(Meters, MetersPerSecond)> = None;
-        for (i, other) in self.actors.iter().enumerate() {
+        for (i, (other, proj)) in self.actors.iter().zip(&self.projections).enumerate() {
             if i == self_index || other.kind() == ActorKind::Prop {
                 continue;
             }
-            let proj = match self.net.project(other.state().position()) {
-                Some(p) => p,
-                None => continue,
-            };
+            let Some(proj) = proj else { continue };
             // Must actually be on the lane, not merely projectable onto it.
             if proj.distance.get() > self.net.lane(proj.position.lane).width().get() {
                 continue;
@@ -462,13 +491,13 @@ impl World {
     pub fn ego_lead_gap(&self, horizon: Meters) -> Option<(ActorId, Meters, MetersPerSecond)> {
         let ego_id = self.ego?;
         let ego = self.actor(ego_id);
-        let proj = self.net.project(ego.state().position())?;
+        let proj = self.projections[ego_id.0 as usize]?;
         let mut best: Option<(ActorId, Meters, MetersPerSecond)> = None;
-        for other in &self.actors {
+        for (other, oproj) in self.actors.iter().zip(&self.projections) {
             if other.id() == ego_id || other.kind() != ActorKind::Vehicle {
                 continue;
             }
-            let oproj = self.net.project(other.state().position())?;
+            let oproj = (*oproj)?;
             if oproj.distance.get() > self.net.lane(oproj.position.lane).width().get() {
                 continue;
             }
@@ -523,12 +552,26 @@ impl World {
     }
 }
 
+/// A projection as raw bits, so NaN and signed zeros compare exactly.
+fn projection_bits(p: &Option<LaneProjection>) -> Option<(u32, u64, u64, u64)> {
+    p.map(|p| {
+        (
+            p.position.lane.0,
+            p.position.s.get().to_bits(),
+            p.lateral.get().to_bits(),
+            p.distance.get().to_bits(),
+        )
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::traffic::LaneFollowConfig;
+    use proptest::prelude::*;
+    use rdsim_math::{Pose2, Vec2};
     use rdsim_roadnet::town05;
-    use rdsim_units::Seconds;
+    use rdsim_units::{Radians, Seconds};
 
     const DT: SimDuration = SimDuration::from_millis(20);
 
@@ -795,6 +838,107 @@ mod tests {
     fn zero_step_panics() {
         let mut w = world();
         w.step(SimDuration::ZERO);
+    }
+
+    /// `ego_lead_gap` with every projection computed afresh by
+    /// `net.project`: the same filters and tie-breaks, no column.
+    fn lead_gap_reference(
+        w: &World,
+        horizon: Meters,
+    ) -> Option<(ActorId, Meters, MetersPerSecond)> {
+        let net = w.network();
+        let ego = w.actor(w.ego_id()?);
+        let proj = net.project(ego.state().position())?;
+        let mut best: Option<(ActorId, Meters, MetersPerSecond)> = None;
+        for other in w.actors() {
+            if other.id() == ego.id() || other.kind() != ActorKind::Vehicle {
+                continue;
+            }
+            let oproj = net.project(other.state().position())?;
+            if oproj.distance.get() > net.lane(oproj.position.lane).width().get() {
+                continue;
+            }
+            if let Some(gap) = net.gap_along(proj.position, oproj.position, horizon) {
+                if gap.get() >= 0.05 && best.is_none_or(|(_, g, _)| gap < g) {
+                    let closing =
+                        MetersPerSecond::new(ego.state().speed.get() - other.state().speed.get());
+                    best = Some((other.id(), gap, closing));
+                }
+            }
+        }
+        best
+    }
+
+    /// One world operation: `(kind, a, b, x, y, z)` picks the operation,
+    /// an actor, a lane and the continuous arguments.
+    type Op = (u8, usize, usize, f64, f64, f64);
+
+    fn apply(w: &mut World, (kind, a, b, x, y, z): Op) {
+        let id = ActorId((a % w.actors().len()) as u32);
+        let lane = LaneId((b % w.network().lane_count()) as u32);
+        let at = LanePosition::new(lane, w.network().lane(lane).length() * x);
+        let speed = MetersPerSecond::new(15.0 * y);
+        let behavior = match b % 4 {
+            0 => Behavior::Stationary,
+            1 => Behavior::LaneFollow(LaneFollowConfig::urban(speed)),
+            2 => Behavior::LaneFollow(LaneFollowConfig::cyclist(speed).with_lane(lane)),
+            _ => Behavior::External,
+        };
+        match kind {
+            0 if w.actors().len() < 12 => {
+                let (kind, spec) = match a % 3 {
+                    0 => (ActorKind::Vehicle, VehicleSpec::van()),
+                    1 => (ActorKind::Cyclist, VehicleSpec::bicycle()),
+                    _ => (ActorKind::Prop, VehicleSpec::passenger_car()),
+                };
+                w.spawn(kind, spec, behavior, at, speed);
+            }
+            1 => w.teleport(id, at, speed),
+            2 => w.teleport_pose(
+                id,
+                Pose2::new(
+                    Vec2::new(750.0 * x - 50.0, 500.0 * y - 50.0),
+                    Radians::new(std::f64::consts::PI * z),
+                ),
+            ),
+            3 => w.set_behavior(id, behavior),
+            _ => {
+                let ego = w.ego_id().expect("spawned first");
+                w.set_external_control(ego, ControlInput::new(x, 0.2 * y, z));
+                for _ in 0..=b % 8 {
+                    w.step(DT);
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn projection_column_stays_fresh(
+            ops in proptest::collection::vec(
+                (0u8..6, 0usize..64, 0usize..64, 0.0f64..1.0, 0.0f64..1.0, -1.0f64..1.0),
+                1..40,
+            ),
+        ) {
+            let mut w = world();
+            w.spawn_ego_at("ego-start", VehicleSpec::passenger_car());
+            w.spawn_npc_at(
+                "lead-start",
+                ActorKind::Vehicle,
+                VehicleSpec::passenger_car(),
+                Behavior::LaneFollow(LaneFollowConfig::urban(MetersPerSecond::new(8.0))),
+                MetersPerSecond::new(8.0),
+            );
+            let horizon = Meters::new(400.0);
+            for op in ops {
+                apply(&mut w, op);
+                for (a, p) in w.actors.iter().zip(&w.projections) {
+                    let fresh = w.network().project(a.state().position());
+                    prop_assert_eq!(projection_bits(p), projection_bits(&fresh));
+                }
+                prop_assert_eq!(w.ego_lead_gap(horizon), lead_gap_reference(&w, horizon));
+            }
+        }
     }
 
     #[test]
