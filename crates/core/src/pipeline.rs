@@ -32,8 +32,9 @@ use crate::{
 };
 use rdsim_netem::{Packet, PacketKind};
 use rdsim_obs::{Recorder, TraceId, TraceStage, Tracer};
-use rdsim_simulator::{decode_frame_recorded_into, VideoFrame, World, WorldSnapshot};
+use rdsim_simulator::{decode_frame_into, VideoFrame, World, WorldSnapshot};
 use rdsim_units::{SimDuration, SimTime};
+use std::time::Instant;
 
 /// Per-tick scratch state handed from stage to stage.
 ///
@@ -157,7 +158,8 @@ impl StageContext<'_> {
 /// the stage in [`crate::RdsSession::replace_stage`] and
 /// [`crate::RdsSession::insert_stage_after`]; `span_name` is the
 /// telemetry histogram (`session.stage.<name>_ns` by convention) the
-/// stage's wall time is recorded under.
+/// stage's wall time is recorded under, resolved once when the stage
+/// joins the session.
 pub trait Stage: std::fmt::Debug + Send {
     /// Short stable identifier (e.g. `"uplink"`).
     fn name(&self) -> &'static str;
@@ -348,7 +350,16 @@ impl Stage for DisplayStage {
                     captured_at: SimTime::ZERO,
                     received_at: SimTime::ZERO,
                 });
-            match decode_frame_recorded_into(&pkt.payload, &mut holder.snapshot, &core.recorder) {
+            let decoded = match &core.obs.decode_ns {
+                Some(decode_ns) => {
+                    let start = Instant::now();
+                    let decoded = decode_frame_into(&pkt.payload, &mut holder.snapshot);
+                    decode_ns.record(start.elapsed().as_nanos() as u64);
+                    decoded
+                }
+                None => decode_frame_into(&pkt.payload, &mut holder.snapshot),
+            };
+            match decoded {
                 Ok(()) => {
                     core.obs.frames_delivered.inc();
                     core.obs.window(in_window).1.inc();

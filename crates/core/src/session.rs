@@ -21,6 +21,8 @@ use rdsim_obs::{Counter, Histogram, Recorder, Timeline, TraceId, TraceStage, Tra
 use rdsim_simulator::{ActorKind, CameraConfig, SimulatorServer, World};
 use rdsim_units::{Meters, SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
+use std::time::Instant;
 
 /// Session configuration.
 #[derive(Debug, Clone)]
@@ -116,9 +118,11 @@ pub(crate) struct SessionObs {
     /// Glass-to-glass frame age at display (capture → decode), µs.
     /// Handles held only while a live recorder is attached, so the
     /// disabled path records nothing.
-    pub(crate) frame_age_us: Option<std::sync::Arc<Histogram>>,
+    pub(crate) frame_age_us: Option<Arc<Histogram>>,
     /// Command age at application (station send → vehicle apply), µs.
-    pub(crate) command_age_us: Option<std::sync::Arc<Histogram>>,
+    pub(crate) command_age_us: Option<Arc<Histogram>>,
+    /// Wall time of each frame decode, good or rejected, ns.
+    pub(crate) decode_ns: Option<Arc<Histogram>>,
 }
 
 impl SessionObs {
@@ -145,6 +149,9 @@ impl SessionObs {
             command_age_us: recorder
                 .enabled()
                 .then(|| recorder.histogram("session.command_age_us")),
+            decode_ns: recorder
+                .enabled()
+                .then(|| recorder.histogram("codec.decode_ns")),
         }
     }
 
@@ -168,6 +175,10 @@ impl SessionObs {
         }
     }
 }
+
+/// A pipeline stage next to its `span_name` wall-time histogram, resolved
+/// once (`None` with the null recorder).
+type TimedStage = (Box<dyn Stage>, Option<Arc<Histogram>>);
 
 /// The shared session state every [`Stage`] advances: plant, links, fault
 /// injector, telemetry, tracing, QoS estimation and the run log.
@@ -345,6 +356,16 @@ impl SessionCore {
     /// Current simulation time.
     pub(crate) fn time(&self) -> SimTime {
         self.server.world().time()
+    }
+
+    /// Pairs `stage` with its wall-time histogram, resolved here once so
+    /// the step loop records without a lookup.
+    fn timed(&self, stage: Box<dyn Stage>) -> TimedStage {
+        let ns = self
+            .recorder
+            .enabled()
+            .then(|| self.recorder.histogram(stage.span_name()));
+        (stage, ns)
     }
 
     /// The vehicle-side link-quality estimate.
@@ -583,7 +604,7 @@ impl SessionCore {
 #[derive(Debug)]
 pub struct RdsSession {
     pub(crate) core: SessionCore,
-    pub(crate) stages: Vec<Box<dyn Stage>>,
+    pub(crate) stages: Vec<TimedStage>,
     pub(crate) scratch: StepScratch,
 }
 
@@ -598,12 +619,12 @@ impl RdsSession {
         let recorder = config.recorder;
         let tracer = config.tracer;
         let mut server = SimulatorServer::new(world, config.camera, seed);
-        server.set_recorder(recorder.clone());
+        server.set_recorder(&recorder);
         let mut link = DuplexLink::new(seed ^ 0x6E65_7431);
         link.attach_recorder(&recorder);
         link.attach_tracer(&tracer);
         let obs = SessionObs::new(&recorder);
-        RdsSession {
+        let mut session = RdsSession {
             core: SessionCore {
                 server,
                 link,
@@ -630,9 +651,14 @@ impl RdsSession {
                 timeline: config.timeline.then(Timeline::default),
                 tl_taps: TimelineTaps::default(),
             },
-            stages: Self::default_stages(),
+            stages: Vec::new(),
             scratch: StepScratch::default(),
-        }
+        };
+        session.stages = Self::default_stages()
+            .into_iter()
+            .map(|stage| session.core.timed(stage))
+            .collect();
+        session
     }
 
     /// The default stage pipeline, in execution order: fault clock,
@@ -655,15 +681,15 @@ impl RdsSession {
 
     /// The pipeline's stage names, in execution order.
     pub fn stage_names(&self) -> Vec<&'static str> {
-        self.stages.iter().map(|s| s.name()).collect()
+        self.stages.iter().map(|(s, _)| s.name()).collect()
     }
 
     /// Replaces the stage called `name` with `stage`, returning `true` if
     /// a stage by that name existed.
     pub fn replace_stage(&mut self, name: &str, stage: Box<dyn Stage>) -> bool {
-        match self.stages.iter().position(|s| s.name() == name) {
+        match self.stages.iter().position(|(s, _)| s.name() == name) {
             Some(i) => {
-                self.stages[i] = stage;
+                self.stages[i] = self.core.timed(stage);
                 true
             }
             None => false,
@@ -673,9 +699,9 @@ impl RdsSession {
     /// Inserts `stage` immediately after the stage called `name`,
     /// returning `true` if a stage by that name existed.
     pub fn insert_stage_after(&mut self, name: &str, stage: Box<dyn Stage>) -> bool {
-        match self.stages.iter().position(|s| s.name() == name) {
+        match self.stages.iter().position(|(s, _)| s.name() == name) {
             Some(i) => {
-                self.stages.insert(i + 1, stage);
+                self.stages.insert(i + 1, self.core.timed(stage));
                 true
             }
             None => false,
@@ -858,19 +884,24 @@ impl RdsSession {
     ///
     /// With a live recorder attached, each stage's wall time is recorded
     /// into its own `session.stage.<name>_ns` histogram — one sample per
-    /// stage per step.
+    /// stage per step. The clock is read once before the first stage and
+    /// once after each, and a stage's sample runs from the previous
+    /// boundary to its own; with the null recorder no clock is read.
     pub fn step(&mut self, operator: &mut dyn OperatorSubsystem) {
         self.core.obs.steps.inc();
         self.scratch.reset();
-        for stage in &mut self.stages {
-            let span = self.core.recorder.span(stage.span_name());
-            let mut ctx = StageContext {
+        let mut boundary = self.core.recorder.enabled().then(Instant::now);
+        for (stage, ns) in &mut self.stages {
+            stage.advance(&mut StageContext {
                 core: &mut self.core,
                 operator,
                 scratch: &mut self.scratch,
-            };
-            stage.advance(&mut ctx);
-            span.finish();
+            });
+            if let (Some(ns), Some(boundary)) = (ns, boundary.as_mut()) {
+                let now = Instant::now();
+                ns.record(now.duration_since(*boundary).as_nanos() as u64);
+                *boundary = now;
+            }
         }
     }
 

@@ -12,14 +12,15 @@
 //! second), then asserts the steady-state step —
 //! capture → encode → uplink → display → operator → downlink → actuate,
 //! with delay/loss/duplicate/corrupt/reorder faults live — performs
-//! **zero** heap allocations per step. The per-stage breakdown (the same
-//! wrapper for every pipeline stage) localises any regression to the
-//! stage that caused it.
+//! **zero** heap allocations per step — with the null recorder and with a
+//! live one timing every stage and codec call. The per-stage breakdown
+//! (the same wrapper for every pipeline stage) localises any regression
+//! to the stage that caused it.
 #![cfg(feature = "alloc-count")]
 
 use rdsim_core::{RdsSession, RdsSessionConfig, ScriptedOperator, Stage, StageContext};
 use rdsim_netem::{InjectionWindow, NetemConfig};
-use rdsim_obs::{alloc_counts, Registry};
+use rdsim_obs::{alloc_counts, Recorder, Registry};
 use rdsim_roadnet::town05;
 use rdsim_simulator::{CameraConfig, World};
 use rdsim_units::{Hertz, Millis, Ratio, SimDuration, SimTime};
@@ -44,7 +45,7 @@ fn stress_config() -> NetemConfig {
         .with_rate(40_000_000)
 }
 
-fn session() -> RdsSession {
+fn session(recorder: Recorder) -> RdsSession {
     let seed = 7_777;
     let mut world = World::new(town05(), seed);
     world.spawn_ego_at("ego-start", VehicleSpec::passenger_car());
@@ -53,6 +54,7 @@ fn session() -> RdsSession {
         // The timeline layer must hold the zero-allocation bar too: its
         // windows come from `preallocate`, never from the step path.
         timeline: true,
+        recorder,
         ..RdsSessionConfig::default()
     };
     let mut s = RdsSession::new(world, config, seed);
@@ -100,10 +102,27 @@ impl Stage for CountingStage {
     }
 }
 
+/// Both recorder cases run in this one test, one after the other: the
+/// allocator counters are process-wide, so a second test running on
+/// another harness thread would count into this one's measurement.
 #[test]
 fn steady_state_step_allocates_nothing() {
-    let mut s = session();
+    assert_steady_state_allocates_nothing(session(Recorder::null()));
 
+    // A live recorder resolves its stage and codec histograms when the
+    // session (or a replaced stage) is built, so timing adds no
+    // allocation.
+    let registry = Registry::new();
+    assert_steady_state_allocates_nothing(session(registry.recorder()));
+    let telemetry = registry.snapshot();
+    let steps = WARMUP_STEPS + MEASURE_STEPS;
+    for stage in RdsSession::default_stages() {
+        let timed = telemetry.histogram(stage.span_name()).map(|h| h.count);
+        assert_eq!(timed, Some(steps), "{}", stage.span_name());
+    }
+}
+
+fn assert_steady_state_allocates_nothing(mut s: RdsSession) {
     // Shadow every stage with a counting wrapper (same order, same
     // behaviour — the wrapper only reads the allocator counters).
     let mut meters: Vec<(&'static str, Arc<AtomicU64>, Arc<AtomicU64>)> = Vec::new();

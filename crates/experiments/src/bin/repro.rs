@@ -88,7 +88,9 @@ use rdsim_experiments::{
 };
 use rdsim_metrics::{SrrConfig, TtcConfig, TtcStats};
 use rdsim_netem::TraceSchedule;
-use rdsim_obs::{write_f64, write_json_string, CampaignStore, Z_95};
+use rdsim_obs::{write_f64, write_json_string, CampaignStore, TraceLog, Z_95};
+use std::fs::File;
+use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
@@ -569,7 +571,7 @@ fn write_traces(dir: &Path, study: &StudyResults) -> std::io::Result<()> {
     for run in &study.traces {
         let kind = kind_slug(run.kind);
         let path = dir.join(format!("{}_{kind}.trace.json", run.subject));
-        std::fs::write(&path, run.trace.to_chrome_json())?;
+        write_chrome_file(&path, &run.trace)?;
         n_traces += 1;
         let mut dumped = 0usize;
         for (i, mark) in run.incidents.iter().enumerate() {
@@ -583,7 +585,7 @@ fn write_traces(dir: &Path, study: &StudyResults) -> std::io::Result<()> {
                 t.saturating_add(INCIDENT_LOOKAHEAD_US),
             );
             let name = format!("{}_{kind}_{i:02}_{}.json", run.subject, mark.kind.label());
-            std::fs::write(incidents_dir.join(name), window.to_chrome_json())?;
+            write_chrome_file(&incidents_dir.join(name), &window)?;
             n_dumps += 1;
         }
         if dumped < run.incidents.len() {
@@ -600,6 +602,13 @@ fn write_traces(dir: &Path, study: &StudyResults) -> std::io::Result<()> {
         dir.display()
     );
     Ok(())
+}
+
+/// Streams `log` into a new file at `path` as Chrome `trace_event` JSON.
+fn write_chrome_file(path: &Path, log: &TraceLog) -> std::io::Result<()> {
+    let mut out = BufWriter::new(File::create(path)?);
+    log.write_chrome_json(&mut out)?;
+    out.flush()
 }
 
 /// A forensics dossier covers this much timeline, trace, and command
@@ -692,14 +701,17 @@ fn write_forensics(dir: &Path, study: &StudyResults) -> std::io::Result<()> {
             }
             // The ±5 s slice of the per-window timeline and of the
             // flight-recorder trace (Chrome trace_event form, the same
-            // format `--trace-out` writes).
+            // format `--trace-out` writes), the trace streamed straight
+            // into the file.
             out.push_str("],\"timeline\":");
             out.push_str(&run.timeline.range_json(from, to).to_json());
             out.push_str(",\"trace\":");
-            out.push_str(&run.trace.window(from, to).to_chrome_json());
-            out.push('}');
             let name = format!("{}_{kind}_{i:02}_{}.json", run.subject, mark.kind.label());
-            std::fs::write(incidents_dir.join(name), out)?;
+            let mut file = BufWriter::new(File::create(incidents_dir.join(name))?);
+            file.write_all(out.as_bytes())?;
+            run.trace.window(from, to).write_chrome_json(&mut file)?;
+            file.write_all(b"}")?;
+            file.flush()?;
             n_dossiers += 1;
         }
     }

@@ -2,9 +2,10 @@
 //!
 //! Emits the JSON-object format both `chrome://tracing` and
 //! [ui.perfetto.dev](https://ui.perfetto.dev) load directly. No external
-//! serializer: every string written is a fixed label or a formatted
-//! number, so plain `write!` is sufficient and the output is
-//! deterministic for a deterministic [`TraceLog`].
+//! serializer: every string written is a fixed label or an integer, so
+//! each element is assembled in a fixed stack buffer with hand-rolled
+//! decimal/hex formatting and handed to the sink in one `write_all`. The
+//! output is deterministic for a deterministic [`TraceLog`].
 //!
 //! Layout chosen for readability in the Perfetto UI:
 //!
@@ -19,11 +20,26 @@
 //!
 //! Timestamps (`"ts"`) are the events' sim-time in µs, which is exactly
 //! the unit the format expects.
+//!
+//! Lineage spans come out in artifact-id order (kind, then sequence
+//! number): one sort of `(raw id, index)` pairs groups each artifact's
+//! events, in recorded order within the group.
 
-use std::collections::BTreeMap;
-use std::fmt::Write as _;
+use std::io::{self, Write};
 
-use crate::trace::{ArtifactKind, TraceEvent, TraceLog};
+use crate::trace::{ArtifactKind, TraceEvent, TraceLog, TraceStage};
+
+/// The artifact kinds in process-id order.
+const KINDS: [ArtifactKind; 5] = [
+    ArtifactKind::Frame,
+    ArtifactKind::Command,
+    ArtifactKind::Meta,
+    ArtifactKind::Qos,
+    ArtifactKind::Incident,
+];
+
+/// Stage lanes per process ([`TraceStage::lane`] is `0..16`).
+const LANES: usize = 16;
 
 fn pid(kind: ArtifactKind) -> u32 {
     match kind {
@@ -45,112 +61,218 @@ fn process_name(kind: ArtifactKind) -> &'static str {
     }
 }
 
-/// Renders a [`TraceLog`] as a Chrome `trace_event` JSON document.
-pub fn chrome_trace_json(log: &TraceLog) -> String {
-    let mut out = String::with_capacity(256 + log.events.len() * 160);
-    let _ = write!(
-        out,
-        "{{\"displayTimeUnit\":\"ms\",\"otherData\":{{\"events\":{},\"overwritten\":{},\"capacity\":{}}},\"traceEvents\":[",
-        log.events.len(),
-        log.overwritten,
-        log.capacity
-    );
-    let mut first = true;
-    let mut push = |out: &mut String| {
-        if !first {
-            out.push(',');
+/// Longest element: an instant with 20-digit `ts` and `arg`, a 17-digit
+/// seq printed twice and the longest labels comes to about 220 bytes.
+const ELEMENT_CAP: usize = 384;
+
+/// Comma-separated JSON elements, each assembled in a stack buffer and
+/// written to the sink whole.
+struct Elements<'w, W> {
+    out: &'w mut W,
+    buf: [u8; ELEMENT_CAP],
+    len: usize,
+    first: bool,
+}
+
+impl<'w, W: Write> Elements<'w, W> {
+    fn new(out: &'w mut W) -> Self {
+        Elements {
+            out,
+            buf: [0; ELEMENT_CAP],
+            len: 0,
+            first: true,
         }
-        first = false;
-    };
+    }
+
+    /// Starts the next array element: a separating comma for all but the
+    /// first.
+    fn element(&mut self) {
+        if !self.first {
+            self.str(",");
+        }
+        self.first = false;
+    }
+
+    fn str(&mut self, s: &str) {
+        self.raw(s.as_bytes());
+    }
+
+    fn dec(&mut self, mut v: u64) {
+        let mut digits = [0u8; 20];
+        let mut i = digits.len();
+        loop {
+            i -= 1;
+            digits[i] = b'0' + (v % 10) as u8;
+            v /= 10;
+            if v == 0 {
+                break;
+            }
+        }
+        self.raw(&digits[i..]);
+    }
+
+    fn hex(&mut self, mut v: u64) {
+        let mut digits = [0u8; 16];
+        let mut i = digits.len();
+        loop {
+            i -= 1;
+            digits[i] = b"0123456789abcdef"[(v & 0xf) as usize];
+            v >>= 4;
+            if v == 0 {
+                break;
+            }
+        }
+        self.raw(&digits[i..]);
+    }
+
+    fn raw(&mut self, bytes: &[u8]) {
+        let end = self.len + bytes.len();
+        self.buf[self.len..end].copy_from_slice(bytes);
+        self.len = end;
+    }
+
+    /// Writes the assembled bytes to the sink.
+    fn flush(&mut self) -> io::Result<()> {
+        let len = std::mem::take(&mut self.len);
+        self.out.write_all(&self.buf[..len])
+    }
+}
+
+/// Writes `log` as a Chrome `trace_event` JSON document.
+pub(crate) fn write_chrome_json(log: &TraceLog, out: &mut impl Write) -> io::Result<()> {
+    let events = &log.events;
+    let mut w = Elements::new(out);
+    w.str("{\"displayTimeUnit\":\"ms\",\"otherData\":{\"events\":");
+    w.dec(events.len() as u64);
+    w.str(",\"overwritten\":");
+    w.dec(log.overwritten);
+    w.str(",\"capacity\":");
+    w.dec(log.capacity as u64);
+    w.str("},\"traceEvents\":[");
+    w.flush()?;
 
     // Metadata: name every process and stage lane that actually appears.
-    let mut lanes: BTreeMap<(u32, u32), &'static str> = BTreeMap::new();
-    let mut procs: BTreeMap<u32, &'static str> = BTreeMap::new();
-    for e in &log.events {
-        let p = pid(e.id.kind());
-        procs.insert(p, process_name(e.id.kind()));
-        lanes.insert((p, e.stage.lane()), e.stage.label());
+    let mut lanes = [[None::<TraceStage>; LANES]; KINDS.len()];
+    for e in events {
+        lanes[pid(e.id.kind()) as usize - 1][e.stage.lane() as usize] = Some(e.stage);
     }
-    for (p, name) in &procs {
-        push(&mut out);
-        let _ = write!(
-            out,
-            "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{p},\"tid\":0,\"args\":{{\"name\":\"{name}\"}}}}"
-        );
+    for (kind, row) in KINDS.iter().zip(&lanes) {
+        if row.iter().any(Option::is_some) {
+            w.element();
+            w.str("{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":");
+            w.dec(pid(*kind).into());
+            w.str(",\"tid\":0,\"args\":{\"name\":\"");
+            w.str(process_name(*kind));
+            w.str("\"}}");
+            w.flush()?;
+        }
     }
-    for ((p, t), name) in &lanes {
-        push(&mut out);
-        let _ = write!(
-            out,
-            "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":{p},\"tid\":{t},\"args\":{{\"name\":\"{name}\"}}}}"
-        );
+    for (kind, row) in KINDS.iter().zip(&lanes) {
+        for (lane, stage) in row.iter().enumerate() {
+            let Some(stage) = stage else { continue };
+            w.element();
+            w.str("{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":");
+            w.dec(pid(*kind).into());
+            w.str(",\"tid\":");
+            w.dec(lane as u64);
+            w.str(",\"args\":{\"name\":\"");
+            w.str(stage.label());
+            w.str("\"}}");
+            w.flush()?;
+        }
     }
 
-    // Async lineage spans: one bar per artifact from its first to its
-    // last observed event (in recorded order, which is causal order).
-    let mut spans: BTreeMap<crate::trace::TraceId, (TraceEvent, TraceEvent, usize)> =
-        BTreeMap::new();
-    for e in &log.events {
-        spans
-            .entry(e.id)
-            .and_modify(|(_, last, n)| {
-                *last = *e;
-                *n += 1;
-            })
-            .or_insert((*e, *e, 1));
-    }
-    for (id, (begin, end, n)) in &spans {
-        if *n < 2 {
-            continue;
+    // Async lineage spans: one bar per artifact with two or more events,
+    // from its first to its last (recorded order is causal order).
+    let mut by_id: Vec<(u64, usize)> = events
+        .iter()
+        .enumerate()
+        .map(|(i, e)| (e.id.raw(), i))
+        .collect();
+    by_id.sort_unstable();
+    for hops in by_id.chunk_by(|a, b| a.0 == b.0) {
+        if let [(_, first), .., (_, last)] = hops {
+            write_span(&mut w, &events[*first], &events[*last], hops.len())?;
         }
-        let (p, cat) = (pid(id.kind()), id.kind().label());
-        let lane = begin.stage.lane();
-        push(&mut out);
-        let _ = write!(
-            out,
-            "{{\"name\":\"{id}\",\"cat\":\"{cat}\",\"ph\":\"b\",\"id\":\"0x{:x}\",\"pid\":{p},\"tid\":{lane},\"ts\":{},\"args\":{{\"hops\":{n}}}}}",
-            id.raw(),
-            begin.sim_us
-        );
-        push(&mut out);
-        let _ = write!(
-            out,
-            "{{\"name\":\"{id}\",\"cat\":\"{cat}\",\"ph\":\"e\",\"id\":\"0x{:x}\",\"pid\":{p},\"tid\":{lane},\"ts\":{}}}",
-            id.raw(),
-            end.sim_us.max(begin.sim_us)
-        );
     }
 
     // Instant events: one per recorded hop/decision.
-    for e in &log.events {
+    for e in events {
         let kind = e.id.kind();
-        let (p, cat, lane) = (pid(kind), kind.label(), e.stage.lane());
+        w.element();
+        w.str("{\"name\":\"");
+        w.str(e.stage.label());
+        w.str("\",\"cat\":\"");
+        w.str(kind.label());
         // Incidents render process-wide so they stand out.
-        let scope = if kind == ArtifactKind::Incident {
-            "p"
+        w.str(if kind == ArtifactKind::Incident {
+            "\",\"ph\":\"i\",\"s\":\"p\",\"pid\":"
         } else {
-            "t"
-        };
-        push(&mut out);
-        let _ = write!(
-            out,
-            "{{\"name\":\"{}\",\"cat\":\"{cat}\",\"ph\":\"i\",\"s\":\"{scope}\",\"pid\":{p},\"tid\":{lane},\"ts\":{},\"args\":{{\"id\":\"{}\",\"seq\":{},\"arg\":{}}}}}",
-            e.stage.label(),
-            e.sim_us,
-            e.id,
-            e.id.seq(),
-            e.arg
-        );
+            "\",\"ph\":\"i\",\"s\":\"t\",\"pid\":"
+        });
+        w.dec(pid(kind).into());
+        w.str(",\"tid\":");
+        w.dec(e.stage.lane().into());
+        w.str(",\"ts\":");
+        w.dec(e.sim_us);
+        w.str(",\"args\":{\"id\":\"");
+        w.str(kind.label());
+        w.str("#");
+        w.dec(e.id.seq());
+        w.str("\",\"seq\":");
+        w.dec(e.id.seq());
+        w.str(",\"arg\":");
+        w.dec(e.arg);
+        w.str("}}");
+        w.flush()?;
     }
 
-    out.push_str("]}");
-    out
+    w.str("]}");
+    w.flush()
+}
+
+/// Writes the begin/end pair of one artifact's async span.
+fn write_span<W: Write>(
+    w: &mut Elements<'_, W>,
+    begin: &TraceEvent,
+    end: &TraceEvent,
+    hops: usize,
+) -> io::Result<()> {
+    let kind = begin.id.kind();
+    for phase in ["b", "e"] {
+        w.element();
+        w.str("{\"name\":\"");
+        w.str(kind.label());
+        w.str("#");
+        w.dec(begin.id.seq());
+        w.str("\",\"cat\":\"");
+        w.str(kind.label());
+        w.str("\",\"ph\":\"");
+        w.str(phase);
+        w.str("\",\"id\":\"0x");
+        w.hex(begin.id.raw());
+        w.str("\",\"pid\":");
+        w.dec(pid(kind).into());
+        w.str(",\"tid\":");
+        w.dec(begin.stage.lane().into());
+        w.str(",\"ts\":");
+        if phase == "b" {
+            w.dec(begin.sim_us);
+            w.str(",\"args\":{\"hops\":");
+            w.dec(hops as u64);
+            w.str("}}");
+        } else {
+            w.dec(end.sim_us.max(begin.sim_us));
+            w.str("}");
+        }
+        w.flush()?;
+    }
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::trace::{TraceId, TraceStage, Tracer};
+    use crate::trace::{TraceId, TraceLog, TraceStage, Tracer};
 
     fn sample_log() -> TraceLog {
         let t = Tracer::with_capacity(64);

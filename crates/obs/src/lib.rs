@@ -21,7 +21,7 @@
 //!   pipeline hop, and an always-on bounded overwrite-oldest flight
 //!   recorder. Snapshots ([`TraceLog`]) window around incidents and
 //!   export as Chrome/Perfetto `trace_event` JSON
-//!   ([`chrome_trace_json`]).
+//!   ([`TraceLog::write_chrome_json`]).
 //! * [`Timeline`] — time-resolved safety/QoS windows: fixed-width
 //!   sim-time buckets of integer-only aggregates (glass-to-glass latency
 //!   decomposition, per-direction link counters, min gated TTC, steering
@@ -59,14 +59,13 @@ mod trace;
 
 #[cfg(feature = "alloc-count")]
 pub use alloc_count::{alloc_counts, AllocCounts, CountingAlloc};
-pub use chrome::chrome_trace_json;
 pub use ci::{wilson_interval, BinomialCi, Z_95, Z_99};
 pub use event::Event;
 pub use hist::{bucket_bounds, bucket_index, Histogram, HistogramSnapshot, BUCKETS};
 pub use json::{write_f64, write_json_string, JsonError, JsonValue, MAX_JSON_DEPTH};
 pub use metrics::{Counter, Gauge};
 pub use progress::{ProgressMeter, WorkerStat};
-pub use recorder::{Recorder, Registry, Span};
+pub use recorder::{Recorder, Registry};
 pub use ring::TraceRing;
 pub use store::{
     to_micro, CampaignStore, CellAggregate, CellSample, RiskPoint, RunKey, RunSummary, MICRO,

@@ -124,8 +124,8 @@ impl Registry {
 /// The handle components record through. Clone freely; all clones of a
 /// live recorder share the same registry. [`Recorder::null`] (also the
 /// `Default`) disables recording: instrument handles it returns are
-/// detached-but-functional, events and spans are no-ops, and the owning
-/// run's [`RunTelemetry`] stays empty.
+/// detached-but-functional, events are no-ops, and the owning run's
+/// [`RunTelemetry`] stays empty.
 #[derive(Debug, Clone, Default)]
 pub struct Recorder {
     inner: Option<Arc<Inner>>,
@@ -198,7 +198,8 @@ impl Recorder {
     }
 
     /// Records one histogram sample by name. Convenience for cold paths;
-    /// hot paths should hold the handle from [`Recorder::histogram`].
+    /// hot paths resolve the handle once with [`Recorder::histogram`] and
+    /// record into it directly.
     #[inline]
     pub fn observe(&self, name: &str, value: u64) {
         if self.inner.is_some() {
@@ -222,38 +223,6 @@ impl Recorder {
             wall_ns,
             note: note.into(),
         });
-    }
-
-    /// Starts a wall-clock span; when the returned guard drops, the
-    /// elapsed nanoseconds are recorded into the named histogram. On a
-    /// null recorder this never reads the clock.
-    #[inline]
-    pub fn span(&self, name: &str) -> Span {
-        match self.inner {
-            Some(_) => Span {
-                target: Some((self.histogram(name), Instant::now())),
-            },
-            None => Span { target: None },
-        }
-    }
-}
-
-/// RAII timing guard returned by [`Recorder::span`].
-#[derive(Debug)]
-pub struct Span {
-    target: Option<(Arc<Histogram>, Instant)>,
-}
-
-impl Span {
-    /// Ends the span early (equivalent to dropping it).
-    pub fn finish(self) {}
-}
-
-impl Drop for Span {
-    fn drop(&mut self) {
-        if let Some((hist, start)) = self.target.take() {
-            hist.record(start.elapsed().as_nanos() as u64);
-        }
     }
 }
 
@@ -289,7 +258,6 @@ mod tests {
         assert_eq!(c.get(), 7, "detached counters must still function");
         rec.observe("h", 5);
         rec.event("e", 1, "");
-        rec.span("s").finish();
         assert_eq!(rec.wall_ns(), 0);
         // No registry exists, so nothing can be snapshotted; the contract
         // is exercised end-to-end in the session tests (empty RunTelemetry).
@@ -305,14 +273,5 @@ mod tests {
         let t = registry.snapshot();
         assert_eq!(t.events.len(), 2);
         assert_eq!(t.events_dropped, 3);
-    }
-
-    #[test]
-    fn span_records_into_histogram() {
-        let registry = Registry::new();
-        let rec = registry.recorder();
-        rec.span("timed").finish();
-        let t = registry.snapshot();
-        assert_eq!(t.histograms.get("timed").map(|h| h.count), Some(1));
     }
 }

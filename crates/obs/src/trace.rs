@@ -9,7 +9,7 @@
 //! and memory stays fixed no matter how long the run is. A snapshot of
 //! the ring is a [`TraceLog`], which can window itself around a safety
 //! incident or render as Chrome/Perfetto `trace_event` JSON via
-//! [`TraceLog::to_chrome_json`].
+//! [`TraceLog::write_chrome_json`].
 //!
 //! Events are stamped with **sim-time only** (µs since run start): the
 //! stream is then deterministic across identical seeds, which the session
@@ -388,9 +388,26 @@ impl TraceLog {
         seen.values().filter(|(a, b)| *a && *b).count() as u64
     }
 
+    /// Writes the log as Chrome/Perfetto `trace_event` JSON into `out`,
+    /// one element at a time — wrap a file in a `BufWriter` to stream an
+    /// export without holding the document in memory.
+    ///
+    /// # Errors
+    ///
+    /// Whatever `out` returns.
+    pub fn write_chrome_json(&self, out: &mut impl std::io::Write) -> std::io::Result<()> {
+        crate::chrome::write_chrome_json(self, out)
+    }
+
     /// Renders the log as Chrome/Perfetto `trace_event` JSON.
     pub fn to_chrome_json(&self) -> String {
-        crate::chrome::chrome_trace_json(self)
+        // Recorded logs average ~180 bytes per event, so this reserve
+        // regrows once; reserving more showed up directly in the peak
+        // memory of export-heavy runs.
+        let mut buf = Vec::with_capacity(256 + self.events.len() * 160);
+        self.write_chrome_json(&mut buf)
+            .expect("writing into a Vec cannot fail");
+        String::from_utf8(buf).expect("the Chrome writer emits ASCII only")
     }
 }
 

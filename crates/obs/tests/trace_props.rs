@@ -8,11 +8,16 @@
 //!   sample into one histogram directly.
 //! * The trace ring never loses the most recent `capacity` entries, for
 //!   arbitrary push sequences and interleavings.
+//! * The streaming Chrome writer emits exactly the bytes of the
+//!   `write!`-based exporter it replaced, kept here as the reference.
 
 use proptest::prelude::*;
 use rdsim_obs::{
-    Event, Histogram, RunTelemetry, TraceEvent, TraceId, TraceRing, TraceStage, Tracer,
+    ArtifactKind, Event, Histogram, RunTelemetry, TraceEvent, TraceId, TraceLog, TraceRing,
+    TraceStage, Tracer,
 };
+use std::collections::BTreeMap;
+use std::fmt::Write as _;
 
 // --- Generators -----------------------------------------------------------
 
@@ -210,4 +215,340 @@ proptest! {
             all.len().saturating_sub(capacity)
         );
     }
+}
+
+// --- Chrome export: the streaming writer against the reference -----------
+
+fn pid(kind: ArtifactKind) -> u32 {
+    match kind {
+        ArtifactKind::Frame => 1,
+        ArtifactKind::Command => 2,
+        ArtifactKind::Meta => 3,
+        ArtifactKind::Qos => 4,
+        ArtifactKind::Incident => 5,
+    }
+}
+
+fn process_name(kind: ArtifactKind) -> &'static str {
+    match kind {
+        ArtifactKind::Frame => "video pipeline (vehicle -> operator)",
+        ArtifactKind::Command => "command pipeline (operator -> vehicle)",
+        ArtifactKind::Meta => "meta packets",
+        ArtifactKind::Qos => "qos packets",
+        ArtifactKind::Incident => "incidents & fault windows",
+    }
+}
+
+/// Renders a [`TraceLog`] as a Chrome `trace_event` JSON document: the
+/// `write!`-based exporter `TraceLog::write_chrome_json` replaced, kept
+/// verbatim as the reference its bytes must equal.
+fn chrome_trace_json(log: &TraceLog) -> String {
+    let mut out = String::with_capacity(256 + log.events.len() * 160);
+    let _ = write!(
+        out,
+        "{{\"displayTimeUnit\":\"ms\",\"otherData\":{{\"events\":{},\"overwritten\":{},\"capacity\":{}}},\"traceEvents\":[",
+        log.events.len(),
+        log.overwritten,
+        log.capacity
+    );
+    let mut first = true;
+    let mut push = |out: &mut String| {
+        if !first {
+            out.push(',');
+        }
+        first = false;
+    };
+
+    // Metadata: name every process and stage lane that actually appears.
+    let mut lanes: BTreeMap<(u32, u32), &'static str> = BTreeMap::new();
+    let mut procs: BTreeMap<u32, &'static str> = BTreeMap::new();
+    for e in &log.events {
+        let p = pid(e.id.kind());
+        procs.insert(p, process_name(e.id.kind()));
+        lanes.insert((p, e.stage.lane()), e.stage.label());
+    }
+    for (p, name) in &procs {
+        push(&mut out);
+        let _ = write!(
+            out,
+            "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{p},\"tid\":0,\"args\":{{\"name\":\"{name}\"}}}}"
+        );
+    }
+    for ((p, t), name) in &lanes {
+        push(&mut out);
+        let _ = write!(
+            out,
+            "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":{p},\"tid\":{t},\"args\":{{\"name\":\"{name}\"}}}}"
+        );
+    }
+
+    // Async lineage spans: one bar per artifact from its first to its
+    // last observed event (in recorded order, which is causal order).
+    let mut spans: BTreeMap<TraceId, (TraceEvent, TraceEvent, usize)> = BTreeMap::new();
+    for e in &log.events {
+        spans
+            .entry(e.id)
+            .and_modify(|(_, last, n)| {
+                *last = *e;
+                *n += 1;
+            })
+            .or_insert((*e, *e, 1));
+    }
+    for (id, (begin, end, n)) in &spans {
+        if *n < 2 {
+            continue;
+        }
+        let (p, cat) = (pid(id.kind()), id.kind().label());
+        let lane = begin.stage.lane();
+        push(&mut out);
+        let _ = write!(
+            out,
+            "{{\"name\":\"{id}\",\"cat\":\"{cat}\",\"ph\":\"b\",\"id\":\"0x{:x}\",\"pid\":{p},\"tid\":{lane},\"ts\":{},\"args\":{{\"hops\":{n}}}}}",
+            id.raw(),
+            begin.sim_us
+        );
+        push(&mut out);
+        let _ = write!(
+            out,
+            "{{\"name\":\"{id}\",\"cat\":\"{cat}\",\"ph\":\"e\",\"id\":\"0x{:x}\",\"pid\":{p},\"tid\":{lane},\"ts\":{}}}",
+            id.raw(),
+            end.sim_us.max(begin.sim_us)
+        );
+    }
+
+    // Instant events: one per recorded hop/decision.
+    for e in &log.events {
+        let kind = e.id.kind();
+        let (p, cat, lane) = (pid(kind), kind.label(), e.stage.lane());
+        // Incidents render process-wide so they stand out.
+        let scope = if kind == ArtifactKind::Incident {
+            "p"
+        } else {
+            "t"
+        };
+        push(&mut out);
+        let _ = write!(
+            out,
+            "{{\"name\":\"{}\",\"cat\":\"{cat}\",\"ph\":\"i\",\"s\":\"{scope}\",\"pid\":{p},\"tid\":{lane},\"ts\":{},\"args\":{{\"id\":\"{}\",\"seq\":{},\"arg\":{}}}}}",
+            e.stage.label(),
+            e.sim_us,
+            e.id,
+            e.id.seq(),
+            e.arg
+        );
+    }
+
+    out.push_str("]}");
+    out
+}
+
+const KINDS: [ArtifactKind; 5] = [
+    ArtifactKind::Frame,
+    ArtifactKind::Command,
+    ArtifactKind::Meta,
+    ArtifactKind::Qos,
+    ArtifactKind::Incident,
+];
+
+const STAGES: [TraceStage; 16] = [
+    TraceStage::Capture,
+    TraceStage::Encode,
+    TraceStage::NetemEnqueue,
+    TraceStage::NetemDrop,
+    TraceStage::NetemCorrupt,
+    TraceStage::NetemDuplicate,
+    TraceStage::NetemReorder,
+    TraceStage::NetemDeliver,
+    TraceStage::Decode,
+    TraceStage::DecodeFailed,
+    TraceStage::Display,
+    TraceStage::CommandEmit,
+    TraceStage::Actuate,
+    TraceStage::FaultEdge,
+    TraceStage::Incident,
+    TraceStage::NetemQueueDrop,
+];
+
+/// The largest sequence number a [`TraceId`] holds (56 bits).
+const MAX_SEQ: u64 = (1 << 56) - 1;
+
+/// Picks `values[i]` for a uniform `i`.
+fn pick<T: Copy>(rng: &mut TestRng, values: &[T]) -> T {
+    values[(rng.next_u64() % values.len() as u64) as usize]
+}
+
+/// A value below `bound`, or an edge (`0`, `u64::MAX`) one time in eight.
+fn edgy(rng: &mut TestRng, bound: u64) -> u64 {
+    match rng.next_u64() % 16 {
+        0 => 0,
+        1 => u64::MAX,
+        _ => rng.next_u64() % bound,
+    }
+}
+
+/// Trace logs in every shape the writer must order and print: all five
+/// kinds on all sixteen stage lanes; per kind, dense seqs minted
+/// consecutively from a base at 0, just above it or near the 56-bit
+/// maximum, as recording mints them, or a handful of arbitrary 56-bit
+/// seqs including 0 and the maximum, as a hand-built log may hold; ring
+/// logs that wrapped, so their oldest seqs are gone; single-hop and
+/// many-hop artifacts; mostly ascending `sim_us` with out-of-order and
+/// `u64::MAX` stamps; and `arg`, `overwritten` and `capacity` edges.
+struct ArbTraceLog;
+
+impl Strategy for ArbTraceLog {
+    type Value = TraceLog;
+
+    fn sample(&self, rng: &mut TestRng) -> TraceLog {
+        let n = (rng.next_u64() % 400) as usize;
+        // Per kind: dense (consecutive from a base) or sparse (a pool).
+        let mut dense = [true; 5];
+        let mut base = [0u64; 5];
+        let mut minted = [0u64; 5];
+        let mut pools = [[0u64; 4]; 5];
+        let mode = rng.next_u64() % 3;
+        for k in 0..5 {
+            dense[k] = match mode {
+                0 => true,
+                1 => false,
+                _ => rng.next_u64().is_multiple_of(2),
+            };
+            base[k] = pick(rng, &[0, 1, 1_000, MAX_SEQ - 2 * n as u64]);
+            pools[k] = [
+                0,
+                MAX_SEQ,
+                rng.next_u64() & MAX_SEQ,
+                rng.next_u64() & MAX_SEQ,
+            ];
+        }
+        let mut events = Vec::with_capacity(n);
+        let mut t = 0u64;
+        for _ in 0..n {
+            let k = (rng.next_u64() % 5) as usize;
+            let seq = if dense[k] {
+                // A new artifact one time in three, else another hop of
+                // one of the last few.
+                if rng.next_u64().is_multiple_of(3) {
+                    minted[k] += 1;
+                }
+                base[k] + minted[k].saturating_sub(rng.next_u64() % 4)
+            } else {
+                pick(rng, &pools[k])
+            };
+            t += rng.next_u64() % 30_000;
+            let sim_us = match rng.next_u64() % 12 {
+                0 => rng.next_u64() % (t + 1),
+                1 => u64::MAX,
+                _ => t,
+            };
+            events.push(TraceEvent {
+                id: TraceId::new(KINDS[k], seq),
+                stage: pick(rng, &STAGES),
+                sim_us,
+                arg: edgy(rng, 100_000),
+            });
+        }
+        if rng.next_u64().is_multiple_of(2) {
+            // Through a ring, which wraps when it is smaller than `n`.
+            let tracer = Tracer::with_capacity(1 + (rng.next_u64() % 400) as usize);
+            for e in &events {
+                tracer.record(e.id, e.stage, e.sim_us, e.arg);
+            }
+            tracer.log()
+        } else {
+            TraceLog {
+                events,
+                overwritten: edgy(rng, 1_000),
+                capacity: edgy(rng, 70_000) as usize,
+            }
+        }
+    }
+}
+
+/// Fails with the first differing byte and its surroundings, rather than
+/// two whole documents.
+fn assert_same_bytes(got: &[u8], want: &str, what: &str) {
+    if got == want.as_bytes() {
+        return;
+    }
+    let at = got
+        .iter()
+        .zip(want.as_bytes())
+        .position(|(a, b)| a != b)
+        .unwrap_or(got.len().min(want.len()));
+    let from = at.saturating_sub(80);
+    panic!(
+        "{what} diverges from the reference at byte {at} (lengths {} vs {}):\n  got:  {}\n  want: {}",
+        got.len(),
+        want.len(),
+        String::from_utf8_lossy(&got[from..(at + 80).min(got.len())]),
+        &want[from..(at + 80).min(want.len())],
+    );
+}
+
+fn assert_writers_match(log: &TraceLog) {
+    let want = chrome_trace_json(log);
+    assert_same_bytes(log.to_chrome_json().as_bytes(), &want, "to_chrome_json");
+    let mut streamed = Vec::new();
+    log.write_chrome_json(&mut streamed)
+        .expect("writing into a Vec cannot fail");
+    assert_same_bytes(&streamed, &want, "write_chrome_json");
+}
+
+proptest! {
+    /// Both entry points of the streaming writer reproduce the reference
+    /// byte for byte, on whole logs and on `window()` slices of them.
+    #[test]
+    fn chrome_writer_matches_the_reference(
+        log in ArbTraceLog,
+        from in 0u64..2_000_000,
+        width in 0u64..4_000_000,
+    ) {
+        assert_writers_match(&log);
+        assert_writers_match(&log.window(from, from + width));
+        assert_writers_match(&log.window(0, u64::MAX));
+    }
+}
+
+#[test]
+fn chrome_writer_matches_the_reference_at_the_edges() {
+    assert_writers_match(&TraceLog::default());
+    // One kind at both ends of the seq range, every integer field at its
+    // maximum, a multi-hop lineage whose end stamps precede its begin, and
+    // every kind and stage at least once.
+    let mut events = vec![
+        TraceEvent {
+            id: TraceId::new(ArtifactKind::Incident, MAX_SEQ),
+            stage: TraceStage::NetemQueueDrop,
+            sim_us: u64::MAX,
+            arg: u64::MAX,
+        },
+        TraceEvent {
+            id: TraceId::new(ArtifactKind::Incident, 0),
+            stage: TraceStage::Incident,
+            sim_us: 5,
+            arg: 0,
+        },
+        TraceEvent {
+            id: TraceId::new(ArtifactKind::Incident, MAX_SEQ),
+            stage: TraceStage::FaultEdge,
+            sim_us: 0,
+            arg: 1,
+        },
+    ];
+    for (i, (&kind, &stage)) in KINDS.iter().cycle().zip(&STAGES).enumerate() {
+        events.push(TraceEvent {
+            id: TraceId::new(kind, 7 + (i as u64) / 5),
+            stage,
+            sim_us: 1_000 * i as u64,
+            arg: i as u64,
+        });
+    }
+    let log = TraceLog {
+        events,
+        overwritten: u64::MAX,
+        capacity: usize::MAX,
+    };
+    assert_writers_match(&log);
+    assert_writers_match(&log.window(0, 10_000));
 }

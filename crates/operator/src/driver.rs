@@ -418,9 +418,17 @@ impl OperatorSubsystem for HumanDriverModel {
             .max(1e-4);
         self.last_command_at = Some(now);
 
-        let scene = self.perception.percept(now).cloned();
-        let hazard_scene = self.hazard_perception.percept(now).cloned();
-        if now >= self.next_update_at {
+        // Both percepts advance every step, so frames are promoted in the
+        // same order whatever the replan cadence; only a replan, on a
+        // small share of steps, needs owned copies of them.
+        let replan = now >= self.next_update_at;
+        let scene = self.perception.percept(now).filter(|_| replan).cloned();
+        let hazard_scene = self
+            .hazard_perception
+            .percept(now)
+            .filter(|_| replan)
+            .cloned();
+        if replan {
             self.replan(now, scene, hazard_scene);
             // Jittered intermittent cadence (±20 %).
             let jitter = self.rng.uniform_range(0.8, 1.2);

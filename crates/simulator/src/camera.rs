@@ -1,11 +1,13 @@
 //! The camera sensor: produces video frames at 25–30 fps.
 
-use crate::{codec::encode_frame_pooled_recorded, WorldSnapshot};
+use crate::{codec::encode_frame_pooled, WorldSnapshot};
 use bytes::{BufPool, Bytes};
 use rdsim_math::RngStream;
-use rdsim_obs::Recorder;
+use rdsim_obs::{Histogram, Recorder};
 use rdsim_units::{Hertz, SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
+use std::time::Instant;
 
 /// Camera configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -74,7 +76,9 @@ pub struct CameraSensor {
     rng: RngStream,
     next_capture: SimTime,
     next_frame_id: u64,
-    recorder: Recorder,
+    /// `codec.encode_ns` and `codec.frame_bytes`, resolved once while a
+    /// live recorder is attached.
+    codec_obs: Option<(Arc<Histogram>, Arc<Histogram>)>,
 }
 
 impl CameraSensor {
@@ -85,14 +89,20 @@ impl CameraSensor {
             rng,
             next_capture: SimTime::ZERO,
             next_frame_id: 0,
-            recorder: Recorder::null(),
+            codec_obs: None,
         }
     }
 
     /// Attaches a recorder; subsequent encodes are timed into
-    /// `codec.encode_ns` and sized into `codec.frame_bytes`.
-    pub fn set_recorder(&mut self, recorder: Recorder) {
-        self.recorder = recorder;
+    /// `codec.encode_ns` and sized into `codec.frame_bytes`. A null
+    /// recorder detaches, and encodes read no clock.
+    pub fn set_recorder(&mut self, recorder: &Recorder) {
+        self.codec_obs = recorder.enabled().then(|| {
+            (
+                recorder.histogram("codec.encode_ns"),
+                recorder.histogram("codec.frame_bytes"),
+            )
+        });
     }
 
     /// The configuration.
@@ -160,12 +170,16 @@ impl CameraSensor {
             snapshot_fn(snapshot);
             snapshot.time = captured_at;
             snapshot.frame_id = self.next_frame_id;
-            let payload = encode_frame_pooled_recorded(
-                snapshot,
-                self.config.frame_bytes,
-                pool,
-                &self.recorder,
-            );
+            let payload = match &self.codec_obs {
+                Some((encode_ns, frame_bytes)) => {
+                    let start = Instant::now();
+                    let payload = encode_frame_pooled(snapshot, self.config.frame_bytes, pool);
+                    encode_ns.record(start.elapsed().as_nanos() as u64);
+                    frame_bytes.record(payload.len() as u64);
+                    payload
+                }
+                None => encode_frame_pooled(snapshot, self.config.frame_bytes, pool),
+            };
             out.push(VideoFrame {
                 frame_id: self.next_frame_id,
                 captured_at,

@@ -26,7 +26,6 @@
 use crate::{ActorId, ActorKind, ActorSnapshot, WorldSnapshot};
 use bytes::{BufPool, Bytes};
 use rdsim_math::{Pose2, Vec2};
-use rdsim_obs::Recorder;
 use rdsim_units::{Meters, MetersPerSecond, Radians, SimTime};
 use std::fmt;
 
@@ -148,67 +147,6 @@ pub fn encode_frame_pooled(snapshot: &WorldSnapshot, min_size: usize, pool: &Buf
     let mut buf = pool.checkout();
     encode_frame_into(snapshot, min_size, buf.buf());
     buf.freeze()
-}
-
-/// Like [`encode_frame`], additionally timing the encode into the
-/// `codec.encode_ns` histogram and recording the resulting payload size
-/// into `codec.frame_bytes`. With a null recorder this is exactly
-/// [`encode_frame`] — no clock is read.
-pub fn encode_frame_recorded(
-    snapshot: &WorldSnapshot,
-    min_size: usize,
-    recorder: &Recorder,
-) -> Bytes {
-    let span = recorder.span("codec.encode_ns");
-    let bytes = encode_frame(snapshot, min_size);
-    span.finish();
-    recorder.observe("codec.frame_bytes", bytes.len() as u64);
-    bytes
-}
-
-/// Like [`encode_frame_pooled`], with the same `codec.encode_ns` /
-/// `codec.frame_bytes` instrumentation as [`encode_frame_recorded`].
-pub fn encode_frame_pooled_recorded(
-    snapshot: &WorldSnapshot,
-    min_size: usize,
-    pool: &BufPool,
-    recorder: &Recorder,
-) -> Bytes {
-    let span = recorder.span("codec.encode_ns");
-    let bytes = encode_frame_pooled(snapshot, min_size, pool);
-    span.finish();
-    recorder.observe("codec.frame_bytes", bytes.len() as u64);
-    bytes
-}
-
-/// Like [`decode_frame`], additionally timing the decode into the
-/// `codec.decode_ns` histogram. With a null recorder this is exactly
-/// [`decode_frame`].
-pub fn decode_frame_recorded(
-    payload: &[u8],
-    recorder: &Recorder,
-) -> Result<WorldSnapshot, CodecError> {
-    let span = recorder.span("codec.decode_ns");
-    let result = decode_frame(payload);
-    span.finish();
-    result
-}
-
-/// Like [`decode_frame_into`], timing the decode into the
-/// `codec.decode_ns` histogram exactly as [`decode_frame_recorded`].
-///
-/// # Errors
-///
-/// Same conditions as [`decode_frame`].
-pub fn decode_frame_recorded_into(
-    payload: &[u8],
-    snapshot: &mut WorldSnapshot,
-    recorder: &Recorder,
-) -> Result<(), CodecError> {
-    let span = recorder.span("codec.decode_ns");
-    let result = decode_frame_into(payload, snapshot);
-    span.finish();
-    result
 }
 
 struct Reader<'a> {

@@ -47,9 +47,8 @@ mod world;
 pub use actor::{Actor, ActorId, ActorKind, Behavior};
 pub use camera::{CameraConfig, CameraSensor, VideoFrame};
 pub use codec::{
-    decode_frame, decode_frame_into, decode_frame_recorded, decode_frame_recorded_into,
-    encode_frame, encode_frame_into, encode_frame_pooled, encode_frame_pooled_recorded,
-    encode_frame_recorded, CodecError,
+    decode_frame, decode_frame_into, encode_frame, encode_frame_into, encode_frame_pooled,
+    CodecError,
 };
 pub use sensors::{obb_overlap, CollisionEvent, LaneInvasionEvent};
 pub use snapshot::{ActorSnapshot, WorldSnapshot};

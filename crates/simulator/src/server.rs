@@ -68,7 +68,7 @@ impl SimulatorServer {
     /// Attaches a telemetry recorder; forwarded to the camera so frame
     /// encodes are timed (`codec.encode_ns`) and sized
     /// (`codec.frame_bytes`).
-    pub fn set_recorder(&mut self, recorder: Recorder) {
+    pub fn set_recorder(&mut self, recorder: &Recorder) {
         self.camera.set_recorder(recorder);
     }
 
