@@ -66,11 +66,11 @@ pub struct StepScratch {
     pub command: Option<Packet>,
     /// Commands the downlink delivered this tick (downlink → actuate).
     pub arrived_cmds: Vec<Packet>,
-    /// A reusable [`ReceivedFrame`] holder for the display stage. Unlike
-    /// the rest of the scratch it survives `reset`: it exists so decode
-    /// can reuse the previous snapshot's actor allocation when the
-    /// operator does not hand one back via
-    /// [`OperatorSubsystem::recycle_frame`].
+    /// A reusable [`ReceivedFrame`] holder for the display stage, parked
+    /// here by a frame that failed to decode; the next decode uses it
+    /// before asking [`OperatorSubsystem::recycle_frame`]. Unlike the
+    /// rest of the scratch it survives `reset`, so its actor allocation
+    /// keeps being reused.
     pub spare_frame: Option<ReceivedFrame>,
 }
 
@@ -333,13 +333,14 @@ impl Stage for DisplayStage {
         for pkt in arrived_frames.drain(..) {
             let core = &mut *ctx.core;
             let id = pkt.trace_id();
-            // Decode into a recycled holder: the operator's previous frame
-            // if it hands one back, else the pipeline's spare — so the
-            // snapshot's actor allocation is reused tick after tick.
-            let mut holder = ctx
-                .operator
-                .recycle_frame()
-                .or_else(|| spare_frame.take())
+            // Decode into a recycled holder: the pipeline's spare (kept
+            // from a frame that failed to decode) first, else the
+            // operator's previous frame if it hands one back — so the
+            // snapshot's actor allocation is reused tick after tick, and a
+            // parked holder is never overwritten and lost.
+            let mut holder = spare_frame
+                .take()
+                .or_else(|| ctx.operator.recycle_frame())
                 .unwrap_or_else(|| ReceivedFrame {
                     snapshot: WorldSnapshot {
                         time: SimTime::ZERO,

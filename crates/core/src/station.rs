@@ -51,11 +51,13 @@ pub trait OperatorSubsystem {
     /// Hands a no-longer-needed frame back to the pipeline so its
     /// snapshot allocation can be reused for the next decode.
     ///
-    /// Called once before each frame delivery. Operators that keep
-    /// frames (driver models buffering percepts) return `None` — the
-    /// default — and the pipeline allocates a fresh holder; operators
-    /// that consume frames immediately can return their previous one
-    /// and make steady-state display allocation-free.
+    /// Called before a frame delivery whenever the pipeline has no
+    /// holder of its own parked (one is parked by a frame that failed to
+    /// decode). Returning `None` — the default — makes the pipeline
+    /// allocate a fresh holder; operators that consume frames immediately
+    /// can return their previous one, and operators that buffer frames
+    /// (the driver model's percept queues) can return one they have
+    /// released, to make steady-state display allocation-free.
     fn recycle_frame(&mut self) -> Option<ReceivedFrame> {
         None
     }

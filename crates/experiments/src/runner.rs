@@ -301,7 +301,12 @@ fn build_run(
         .unwrap_or(config.laps as f64 * course.lap_length() - 40.0);
     let consumed = vec![vec![false; plan.fault_points.len()]; laps_planned as usize];
     let ego = session.world().ego_id().expect("ego spawned");
-    let (prev_s, _) = course.chain_s(session.world().network(), ego_pos(&session, ego));
+    let world = session.world();
+    let (prev_s, _) = course.chain_s(
+        world.network(),
+        ego_pos(&session, ego),
+        world.projection(ego),
+    );
     let max_steps = config.max_duration.div_steps(config.dt);
 
     let controller = ProtocolDriver {
@@ -374,7 +379,8 @@ impl ProtocolDriver {
         let course = &self.course;
         let plan = &self.plan;
         let pos = ego_pos(session, self.ego);
-        let (s, outer_lane) = course.chain_s(session.world().network(), pos);
+        let column = session.world().projection(self.ego);
+        let (s, outer_lane) = course.chain_s(session.world().network(), pos, column);
         // Unwrapped progress and lap counting.
         let mut delta = s - self.prev_s;
         if delta < -course.lap_length() / 2.0 {
@@ -392,7 +398,7 @@ impl ProtocolDriver {
         let on_highway = course.within(s, plan.highway.0, plan.highway.1);
         let (lane, speed) = if in_slalom || in_overtake {
             (
-                course.nearest_of(session.world().network(), course.inner(), pos),
+                course.nearest_of(session.world().network(), course.inner(), pos, column),
                 if on_highway {
                     self.config.highway_speed
                 } else {
@@ -418,11 +424,12 @@ impl ProtocolDriver {
         if let Some(lead) = self.lead {
             let lead_pos = ego_pos(session, lead);
             let world = session.world();
-            let (lead_s, lead_outer) = course.chain_s(world.network(), lead_pos);
+            let lead_column = world.projection(lead);
+            let (lead_s, lead_outer) = course.chain_s(world.network(), lead_pos, lead_column);
             let lead_in_zone = course.within(lead_s, plan.slalom.0 - 25.0, plan.slalom.1 + 10.0);
             let (lead_lane, lead_speed) = if lead_in_zone {
                 (
-                    course.nearest_of(world.network(), course.inner(), lead_pos),
+                    course.nearest_of(world.network(), course.inner(), lead_pos, lead_column),
                     MetersPerSecond::new(13.0),
                 )
             } else {

@@ -15,7 +15,7 @@
 
 use rdsim_core::PaperFault;
 use rdsim_math::Vec2;
-use rdsim_roadnet::{LaneId, RoadNetwork};
+use rdsim_roadnet::{LaneId, LaneProjection, RoadNetwork};
 use serde::{Deserialize, Serialize};
 
 /// Maps world positions to progress along the ring's lane chains.
@@ -86,10 +86,20 @@ impl CourseMap {
     /// of a world point, measured against the outer chain, and the outer
     /// lane it was measured on: the lane
     /// [`nearest_of`](Self::nearest_of) returns for the outer chain.
-    pub fn chain_s(&self, net: &RoadNetwork, position: Vec2) -> (f64, LaneId) {
-        let proj = net
-            .project_among(&self.outer, position)
-            .expect("outer chain is non-empty");
+    ///
+    /// `column` is the point's whole-network projection if the caller
+    /// holds it (`World::projection`); see [`nearest_of`](Self::nearest_of)
+    /// for when it replaces the projection onto the chain.
+    pub fn chain_s(
+        &self,
+        net: &RoadNetwork,
+        position: Vec2,
+        column: Option<LaneProjection>,
+    ) -> (f64, LaneId) {
+        let proj = on_chain(&self.outer, column).unwrap_or_else(|| {
+            net.project_among(&self.outer, position)
+                .expect("outer chain is non-empty")
+        });
         let lane = proj.position.lane;
         let idx = self
             .outer
@@ -100,8 +110,22 @@ impl CourseMap {
     }
 
     /// The nearest lane of the given chain to a world point.
-    pub fn nearest_of(&self, net: &RoadNetwork, chain: &[LaneId], position: Vec2) -> LaneId {
-        net.project_among(chain, position)
+    ///
+    /// `column` is the point's whole-network projection if the caller
+    /// holds it. When its lane is on `chain` and `chain` is in ascending id
+    /// order, it is the answer without projecting: it is the first lane
+    /// with the least distance in id order over *all* lanes, so over the
+    /// chain too, and `project_among` breaks ties in candidate order, which
+    /// is then id order. Otherwise the point is projected onto the chain.
+    pub fn nearest_of(
+        &self,
+        net: &RoadNetwork,
+        chain: &[LaneId],
+        position: Vec2,
+        column: Option<LaneProjection>,
+    ) -> LaneId {
+        on_chain(chain, column)
+            .or_else(|| net.project_among(chain, position))
             .expect("chain is non-empty")
             .position
             .lane
@@ -116,6 +140,13 @@ impl CourseMap {
             s >= from || s < to
         }
     }
+}
+
+/// `column` when it is provably `project_among(chain, ..)` of the same
+/// point: its lane is on `chain` and `chain` ascends in id order (see
+/// [`CourseMap::nearest_of`]).
+fn on_chain(chain: &[LaneId], column: Option<LaneProjection>) -> Option<LaneProjection> {
+    column.filter(|c| chain.is_sorted() && chain.contains(&c.position.lane))
 }
 
 /// A point of interest where a fault may be injected: a chain-s window.
@@ -232,15 +263,15 @@ mod tests {
     fn chain_s_increases_along_south_avenue() {
         let net = town05();
         let course = CourseMap::new(&net);
-        let (s1, _) = course.chain_s(&net, Vec2::new(100.0, 0.0));
-        let (s2, _) = course.chain_s(&net, Vec2::new(400.0, 0.0));
+        let (s1, _) = course.chain_s(&net, Vec2::new(100.0, 0.0), None);
+        let (s2, _) = course.chain_s(&net, Vec2::new(400.0, 0.0), None);
         assert!((s1 - 100.0).abs() < 1.0);
         assert!((s2 - 400.0).abs() < 1.0);
         // East side: past the south segment + SE corner.
-        let (s3, _) = course.chain_s(&net, Vec2::new(650.0, 200.0));
+        let (s3, _) = course.chain_s(&net, Vec2::new(650.0, 200.0), None);
         assert!(s3 > 600.0 && s3 < 1057.0, "east side s = {s3}");
         // North (highway).
-        let (s4, _) = course.chain_s(&net, Vec2::new(300.0, 400.0));
+        let (s4, _) = course.chain_s(&net, Vec2::new(300.0, 400.0), None);
         assert!(s4 > 1057.0 && s4 < 1657.0, "north s = {s4}");
     }
 
@@ -261,9 +292,9 @@ mod tests {
         let net = town05();
         let course = CourseMap::new(&net);
         let p = Vec2::new(300.0, 3.5); // on the inner lane of the avenue
-        let inner = course.nearest_of(&net, course.inner(), p);
+        let inner = course.nearest_of(&net, course.inner(), p, None);
         assert_eq!(inner, LaneId(1));
-        let outer = course.nearest_of(&net, course.outer(), p);
+        let outer = course.nearest_of(&net, course.outer(), p, None);
         assert_eq!(outer, LaneId(0));
     }
 
@@ -272,18 +303,84 @@ mod tests {
         let net = town05();
         let course = CourseMap::new(&net);
         // Lane ends are the joints; the other fractions lie between them.
-        // Offsets reach across both lanes of the road and off it.
+        // Offsets reach across both lanes of the road and off it, so the
+        // column's lane is on the outer chain, on the inner one, or
+        // (±1.75 m) tied between them.
         for &lane in course.outer().iter().chain(course.inner()) {
             let centerline = net.lane(lane).centerline();
             let length = net.lane(lane).length();
             for frac in [0.0, 1e-6, 0.25, 0.5, 1.0 - 1e-6, 1.0] {
-                for offset in [-6.0, -1.75, 0.0, 1.75, 3.5, 8.0] {
+                for offset in [-6.0, -1.75, -0.3, 0.0, 1.75, 3.5, 8.0, 40.0] {
                     let p = centerline.offset_point_at(length * frac, Meters::new(offset));
-                    let (_, outer) = course.chain_s(&net, p);
-                    assert_eq!(outer, course.nearest_of(&net, course.outer(), p), "at {p}");
+                    let column = net.project(p);
+                    let (s, outer) = course.chain_s(&net, p, None);
+                    let (s_col, outer_col) = course.chain_s(&net, p, column);
+                    assert_eq!((s.to_bits(), outer), (s_col.to_bits(), outer_col), "at {p}");
+                    assert_eq!(
+                        outer,
+                        course.nearest_of(&net, course.outer(), p, None),
+                        "at {p}"
+                    );
+                    for chain in [course.outer(), course.inner()] {
+                        assert_eq!(
+                            course.nearest_of(&net, chain, p, None),
+                            course.nearest_of(&net, chain, p, column),
+                            "at {p}"
+                        );
+                    }
                 }
             }
         }
+    }
+
+    #[test]
+    fn column_is_not_read_on_a_chain_out_of_id_order() {
+        // A square ring whose outer chain runs 0 → 4 → 2 → 6. At the
+        // north-east corner lanes 4 and 2 tie: the column holds lane 2
+        // (lower id), but `project_among` over the chain picks lane 4
+        // (earlier in the chain), so the column must not be read.
+        use rdsim_roadnet::{LaneKind, Polyline, RoadNetworkBuilder};
+        use rdsim_units::MetersPerSecond;
+        let mut b = RoadNetworkBuilder::new("square");
+        let corners = [
+            Vec2::new(0.0, 0.0),
+            Vec2::new(100.0, 0.0),
+            Vec2::new(100.0, 100.0),
+            Vec2::new(0.0, 100.0),
+        ];
+        let mut outer = [LaneId(0); 4];
+        // Sides in the order south, north, east, west.
+        for side in [0, 2, 1, 3] {
+            let line = Polyline::straight(corners[side], corners[(side + 1) % 4], Meters::new(2.0));
+            outer[side] = b.add_lane(
+                LaneKind::Driving,
+                line,
+                Meters::new(3.5),
+                MetersPerSecond::new(10.0),
+            );
+            b.add_parallel_lane(outer[side], Meters::new(3.5));
+        }
+        for side in 0..4 {
+            let next = (side + 1) % 4;
+            b.connect(outer[side], outer[next]);
+            b.connect(LaneId(outer[side].0 + 1), LaneId(outer[next].0 + 1));
+        }
+        let net = b.build();
+        let course = CourseMap::new(&net);
+        assert_eq!(course.outer(), [LaneId(0), LaneId(4), LaneId(2), LaneId(6)]);
+        let p = Vec2::new(103.0, 103.0);
+        let column = net.project(p);
+        assert_eq!(column.map(|c| c.position.lane), Some(LaneId(2)));
+        let (s, lane) = course.chain_s(&net, p, column);
+        assert_eq!(lane, LaneId(4));
+        assert_eq!((s.to_bits(), lane), {
+            let (s, lane) = course.chain_s(&net, p, None);
+            (s.to_bits(), lane)
+        });
+        assert_eq!(
+            course.nearest_of(&net, course.outer(), p, column),
+            LaneId(4)
+        );
     }
 
     #[test]

@@ -118,6 +118,11 @@ pub struct HumanDriverModel {
     /// road-wheel angle rad). Defaults to a passenger car; set to the
     /// plant's values when driving something else (the RC model vehicle).
     vehicle_hint: (f64, f64),
+    /// Replan's copies of the two percepts, cloned into in place so their
+    /// snapshot allocations are reused from replan to replan (a percept
+    /// is `None` only before the first frame).
+    scene_copy: Option<PerceivedScene>,
+    hazard_copy: Option<PerceivedScene>,
 }
 
 /// Assumed ego body length for visual gap estimation (the driver judges
@@ -167,6 +172,8 @@ impl HumanDriverModel {
             disturbance: 0.0,
             prev_stutter: 0.0,
             vehicle_hint: (WHEELBASE_GUESS, MAX_STEER_GUESS),
+            scene_copy: None,
+            hazard_copy: None,
         }
     }
 
@@ -218,8 +225,8 @@ impl HumanDriverModel {
     fn replan(
         &mut self,
         now: SimTime,
-        scene: Option<PerceivedScene>,
-        hazard_scene: Option<PerceivedScene>,
+        scene: Option<&PerceivedScene>,
+        hazard_scene: Option<&PerceivedScene>,
     ) {
         let Some(scene) = scene else {
             // Blind (no frame yet, or total feed loss): release throttle
@@ -345,7 +352,7 @@ impl HumanDriverModel {
         // Hazard reactions run on the slower event-perception stream — the
         // driver notices the road curving immediately but takes most of a
         // second to register that the gap ahead is collapsing.
-        let hazard = hazard_scene.as_ref().unwrap_or(&scene);
+        let hazard = hazard_scene.unwrap_or(scene);
         let mut emergency = false;
         for other in &hazard.snapshot.others {
             if other.kind == ActorKind::Prop {
@@ -402,7 +409,18 @@ impl HumanDriverModel {
 
 impl OperatorSubsystem for HumanDriverModel {
     fn on_frame(&mut self, frame: ReceivedFrame) {
-        self.perception.ingest(frame.clone());
+        // Each channel keeps its own scene: the tracking channel a copy,
+        // cloned into a recycled one, the hazard channel the frame itself.
+        let copy = match self.recycle_frame() {
+            Some(mut copy) => {
+                copy.snapshot.clone_from(&frame.snapshot);
+                copy.captured_at = frame.captured_at;
+                copy.received_at = frame.received_at;
+                copy
+            }
+            None => frame.clone(),
+        };
+        self.perception.ingest(copy);
         self.hazard_perception.ingest(frame);
     }
 
@@ -420,16 +438,16 @@ impl OperatorSubsystem for HumanDriverModel {
 
         // Both percepts advance every step, so frames are promoted in the
         // same order whatever the replan cadence; only a replan, on a
-        // small share of steps, needs owned copies of them.
+        // small share of steps, copies them (into reused buffers).
         let replan = now >= self.next_update_at;
-        let scene = self.perception.percept(now).filter(|_| replan).cloned();
-        let hazard_scene = self
-            .hazard_perception
-            .percept(now)
-            .filter(|_| replan)
-            .cloned();
+        let scene = self.perception.percept(now);
+        let hazard_scene = self.hazard_perception.percept(now);
         if replan {
-            self.replan(now, scene, hazard_scene);
+            copy_percept(&mut self.scene_copy, scene);
+            copy_percept(&mut self.hazard_copy, hazard_scene);
+            let (scene, hazard) = (self.scene_copy.take(), self.hazard_copy.take());
+            self.replan(now, scene.as_ref(), hazard.as_ref());
+            (self.scene_copy, self.hazard_copy) = (scene, hazard);
             // Jittered intermittent cadence (±20 %).
             let jitter = self.rng.uniform_range(0.8, 1.2);
             self.next_update_at = now
@@ -443,6 +461,29 @@ impl OperatorSubsystem for HumanDriverModel {
         self.wheel += (self.steer_target - self.wheel).clamp(-max_step, max_step);
         let _ = Radians::ZERO;
         ControlInput::new(self.throttle, self.brake, self.wheel)
+    }
+
+    fn recycle_frame(&mut self) -> Option<ReceivedFrame> {
+        // Scenes either channel has released, for the decoder and for
+        // `on_frame`'s copy.
+        let scene = self
+            .perception
+            .recycle()
+            .or_else(|| self.hazard_perception.recycle())?;
+        Some(ReceivedFrame {
+            snapshot: scene.snapshot,
+            captured_at: scene.captured_at,
+            received_at: scene.received_at,
+        })
+    }
+}
+
+/// Makes `copy` a copy of `percept`, cloning into its existing snapshot
+/// allocation when both are present.
+fn copy_percept(copy: &mut Option<PerceivedScene>, percept: Option<&PerceivedScene>) {
+    match (copy.as_mut(), percept) {
+        (Some(copy), Some(percept)) => copy.clone_from(percept),
+        (_, percept) => *copy = percept.cloned(),
     }
 }
 

@@ -7,7 +7,7 @@ use std::collections::VecDeque;
 
 /// A frame after it has passed through the subject's perception–reaction
 /// latency and become actionable.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, PartialEq)]
 pub struct PerceivedScene {
     /// The scene content.
     pub snapshot: WorldSnapshot,
@@ -15,6 +15,23 @@ pub struct PerceivedScene {
     pub captured_at: SimTime,
     /// When it reached the station.
     pub received_at: SimTime,
+}
+
+impl Clone for PerceivedScene {
+    fn clone(&self) -> Self {
+        PerceivedScene {
+            snapshot: self.snapshot.clone(),
+            captured_at: self.captured_at,
+            received_at: self.received_at,
+        }
+    }
+
+    /// Copies into the existing snapshot allocation.
+    fn clone_from(&mut self, source: &Self) {
+        self.snapshot.clone_from(&source.snapshot);
+        self.captured_at = source.captured_at;
+        self.received_at = source.received_at;
+    }
 }
 
 impl PerceivedScene {
@@ -46,6 +63,9 @@ pub struct PerceptionState {
     /// Sum of inter-display gaps beyond the nominal frame period,
     /// aggregated for QoE estimation.
     stutter_time: SimDuration,
+    /// Scenes `percept` dropped or replaced, kept for their snapshot
+    /// allocations until [`recycle`](Self::recycle) hands them out.
+    spare: Vec<PerceivedScene>,
 }
 
 /// Nominal frame period used for stutter accounting (25 fps floor).
@@ -63,7 +83,14 @@ impl PerceptionState {
             worst_display_gap: SimDuration::ZERO,
             last_display_capture: None,
             stutter_time: SimDuration::ZERO,
+            spare: Vec::new(),
         }
+    }
+
+    /// A scene [`percept`](Self::percept) has dropped or replaced, kept
+    /// so its snapshot allocation can hold a later frame.
+    pub(crate) fn recycle(&mut self) -> Option<PerceivedScene> {
+        self.spare.pop()
     }
 
     /// Ingests a delivered frame.
@@ -111,9 +138,12 @@ impl PerceptionState {
                 .current
                 .as_ref()
                 .is_none_or(|c| scene.captured_at > c.captured_at);
-            if newer {
-                self.current = Some(scene);
-            }
+            let dropped = if newer {
+                self.current.replace(scene)
+            } else {
+                Some(scene)
+            };
+            self.spare.extend(dropped);
         }
         self.current.as_ref()
     }

@@ -1,5 +1,6 @@
 //! The road network: a collection of lanes plus spatial queries.
 
+use crate::polyline::PRUNE_SLACK;
 use crate::{Lane, LaneId, LanePosition};
 use rdsim_math::{Pose2, Vec2};
 use rdsim_units::Meters;
@@ -112,27 +113,59 @@ impl RoadNetwork {
     /// Returns `None` only for an empty network.
     ///
     /// Lanes are scanned in id order keeping the first strictly-smaller
-    /// distance, with whole-lane bounding boxes pruning lanes that
+    /// distance, with whole-lane and chunk bounding boxes pruning what
     /// provably cannot beat the running best — an exact skip (see
     /// [`crate::Polyline::distance_lower_bound_sq`]), so the result is
     /// bit-identical to projecting onto every lane.
     pub fn project(&self, point: Vec2) -> Option<LaneProjection> {
+        self.nearest_lane(point, f64::INFINITY)
+    }
+
+    /// [`project`](Self::project) seeded with a lane position near `point`,
+    /// such as a moving actor's projection on the previous tick. The
+    /// result is bit-identical to `project` for every seed; a near seed
+    /// only makes it cheaper. A seed lane that is not in the network seeds
+    /// nothing.
+    pub fn project_seeded(&self, point: Vec2, seed: LanePosition) -> Option<LaneProjection> {
+        let bound = self.get_lane(seed.lane).map_or(f64::INFINITY, |lane| {
+            lane.centerline().seed_bound(point, seed.s.get())
+        });
+        self.nearest_lane(point, bound)
+    }
+
+    /// The lane loop behind [`project`](Self::project) and
+    /// [`project_seeded`](Self::project_seeded). `seed_bound` is the
+    /// squared distance from `point` to a vertex of some lane, so the
+    /// nearest squared distance cannot exceed it; a lane or chunk whose box
+    /// lower bound exceeds min(bound, running best) by more than
+    /// `PRUNE_SLACK` is skipped. A bound that is not finite (unseeded, or a
+    /// non-finite or overflowing point) gives the unseeded search, in
+    /// which every lane bounds its chunks by its own vertex pre-pass, so a
+    /// non-finite point keeps its one answer: lane 0, `s` 0, an infinite
+    /// distance.
+    fn nearest_lane(&self, point: Vec2, seed_bound: f64) -> Option<LaneProjection> {
+        let seeded = seed_bound.is_finite();
         let mut best: Option<LaneProjection> = None;
+        let mut best_d2 = f64::INFINITY;
         for lane in &self.lanes {
-            if let Some(b) = &best {
-                let best_d2 = b.distance.get() * b.distance.get();
-                if lane.centerline().distance_lower_bound_sq(point) * crate::polyline::PRUNE_SLACK
-                    > best_d2
-                {
-                    continue;
-                }
+            let line = lane.centerline();
+            let cut = seed_bound.min(best_d2);
+            if line.distance_lower_bound_sq(point) * PRUNE_SLACK > cut {
+                continue;
             }
-            let proj = self.project_onto_lane(lane.id(), point);
-            if best
-                .as_ref()
-                .is_none_or(|b| proj.distance.get() < b.distance.get())
-            {
-                best = Some(proj);
+            let bound = if seeded {
+                cut
+            } else {
+                line.vertex_bound(point).min(best_d2)
+            };
+            let (s, lateral, distance) = line.project_within(point, bound);
+            if best.is_none_or(|b| distance < b.distance) {
+                best_d2 = distance.get() * distance.get();
+                best = Some(LaneProjection {
+                    position: LanePosition::new(lane.id(), s),
+                    lateral,
+                    distance,
+                });
             }
         }
         best
@@ -140,26 +173,38 @@ impl RoadNetwork {
 
     /// Projects onto the nearest of `candidates`; used by the lane-keeping
     /// logic to avoid snapping to far-away lanes at junctions. Same exact
-    /// bounding-box pruning and first-minimal tie-break as
-    /// [`project`](Self::project).
+    /// bounding-box pruning as [`project`](Self::project), with ties broken
+    /// in candidate order.
     pub fn project_among(&self, candidates: &[LaneId], point: Vec2) -> Option<LaneProjection> {
-        let mut best: Option<LaneProjection> = None;
-        for &id in candidates {
-            if let Some(b) = &best {
-                let best_d2 = b.distance.get() * b.distance.get();
-                if self.lane(id).centerline().distance_lower_bound_sq(point)
-                    * crate::polyline::PRUNE_SLACK
-                    > best_d2
-                {
-                    continue;
-                }
+        let (&first, rest) = candidates.split_first()?;
+        Some(self.project_among_from(self.project_onto_lane(first, point), rest, point))
+    }
+
+    /// [`project_among`](Self::project_among) over the candidates
+    /// `[start.position.lane, others..]`, where `start` is already the
+    /// projection of `point` onto its lane (as from
+    /// [`project_onto_lane`](Self::project_onto_lane)).
+    pub fn project_among_from(
+        &self,
+        start: LaneProjection,
+        others: &[LaneId],
+        point: Vec2,
+    ) -> LaneProjection {
+        let mut best = start;
+        for &id in others {
+            let line = self.lane(id).centerline();
+            let best_d2 = best.distance.get() * best.distance.get();
+            if line.distance_lower_bound_sq(point) * PRUNE_SLACK > best_d2 {
+                continue;
             }
-            let proj = self.project_onto_lane(id, point);
-            if best
-                .as_ref()
-                .is_none_or(|b| proj.distance.get() < b.distance.get())
-            {
-                best = Some(proj);
+            let (s, lateral, distance) =
+                line.project_within(point, line.vertex_bound(point).min(best_d2));
+            if distance < best.distance {
+                best = LaneProjection {
+                    position: LanePosition::new(id, s),
+                    lateral,
+                    distance,
+                };
             }
         }
         best

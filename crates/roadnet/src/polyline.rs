@@ -175,18 +175,16 @@ impl Polyline {
     /// point, the **signed** lateral offset (positive = left of travel
     /// direction) and the absolute distance.
     pub fn project(&self, p: Vec2) -> (Meters, Meters, Meters) {
-        let mut best_d2 = f64::INFINITY;
-        let mut best_s = 0.0;
-        let mut best_seg = 0usize;
-        let mut best_point = self.points[0];
+        self.project_within(p, self.vertex_bound(p))
+    }
+
+    /// The pruning bound of an unseeded [`project`](Self::project): the
+    /// squared distance from `p` to the nearest of one vertex per chunk
+    /// and the last vertex. Each is a real projection candidate, so the
+    /// nearest squared distance cannot exceed it. Infinite for a single
+    /// chunk, which has nothing to prune.
+    pub(crate) fn vertex_bound(&self, p: Vec2) -> f64 {
         let nseg = self.points.len() - 1;
-        // Pruning threshold: the squared distance to one real vertex per
-        // chunk upper-bounds the eventual best (that vertex is itself a
-        // projection candidate), so any chunk whose box lower bound
-        // exceeds min(threshold, running best) — with PRUNE_SLACK
-        // absorbing float rounding — contains only candidates that can
-        // never *strictly* beat the best. Skipping them preserves the
-        // first-minimal-segment tie-break exactly.
         let mut ub = f64::INFINITY;
         if self.chunks.len() > 1 {
             for start in (0..nseg).step_by(CHUNK) {
@@ -194,8 +192,38 @@ impl Polyline {
             }
             ub = ub.min((p - self.points[nseg]).length_squared());
         }
+        ub
+    }
+
+    /// The pruning bound of a seeded search: the squared distance from `p`
+    /// to the nearer endpoint of the segment at arc length `s`. An exact
+    /// vertex distance, never a computed foot point: a box that contains
+    /// the vertex has a lower bound no larger than it, however the
+    /// rounding falls, so the seed's own chunk is never pruned.
+    pub(crate) fn seed_bound(&self, p: Vec2, s: f64) -> f64 {
+        let (i, _) = self.locate(s);
+        (p - self.points[i])
+            .length_squared()
+            .min((p - self.points[i + 1]).length_squared())
+    }
+
+    /// The chunk scan behind every projection. `bound` must be no smaller
+    /// than the squared distance of some candidate in the search it is
+    /// part of (one vertex distance, or a lane already projected): any
+    /// chunk whose box lower bound exceeds min(bound, running best) — with
+    /// [`PRUNE_SLACK`] absorbing float rounding — contains only candidates
+    /// that can never *strictly* beat that candidate. Skipping them
+    /// preserves the first-minimal-segment tie-break exactly. When every
+    /// chunk is skipped the distance is infinite and the polyline loses to
+    /// the candidate behind `bound`.
+    pub(crate) fn project_within(&self, p: Vec2, bound: f64) -> (Meters, Meters, Meters) {
+        let mut best_d2 = f64::INFINITY;
+        let mut best_s = 0.0;
+        let mut best_seg = 0usize;
+        let mut best_point = self.points[0];
+        let nseg = self.points.len() - 1;
         for (ci, bb) in self.chunks.iter().enumerate() {
-            if bb.dist2_lower(p) * PRUNE_SLACK > best_d2.min(ub) {
+            if bb.dist2_lower(p) * PRUNE_SLACK > best_d2.min(bound) {
                 continue;
             }
             let start = ci * CHUNK;

@@ -35,7 +35,7 @@ impl ActorSnapshot {
 /// operator model "sees" whatever the most recently *delivered* frame
 /// contains — which is exactly how network delay and loss degrade the
 /// operator's situational awareness.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, PartialEq, Serialize, Deserialize)]
 pub struct WorldSnapshot {
     /// Capture time.
     pub time: SimTime,
@@ -45,6 +45,25 @@ pub struct WorldSnapshot {
     pub ego: Option<ActorSnapshot>,
     /// Every other actor.
     pub others: Vec<ActorSnapshot>,
+}
+
+impl Clone for WorldSnapshot {
+    fn clone(&self) -> Self {
+        WorldSnapshot {
+            time: self.time,
+            frame_id: self.frame_id,
+            ego: self.ego,
+            others: self.others.clone(),
+        }
+    }
+
+    /// Copies into the existing `others` allocation.
+    fn clone_from(&mut self, source: &Self) {
+        self.time = source.time;
+        self.frame_id = source.frame_id;
+        self.ego = source.ego;
+        self.others.clone_from(&source.others);
+    }
 }
 
 impl WorldSnapshot {

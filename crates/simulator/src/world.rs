@@ -29,9 +29,11 @@ pub struct World {
     /// Each actor's whole-network projection, parallel to `actors`:
     /// `projections[i] == net.project(actors[i].state().position())`.
     /// Refreshed wherever a position changes (`spawn`, `set_state` behind
-    /// both teleports, the integrate pass of `step`), so the per-tick
-    /// readers (control decisions, leader search, lead-gap logging) never
-    /// project an actor twice.
+    /// both teleports, the integrate pass of `step`, which seeds each
+    /// refresh with the actor's previous entry), so the per-tick readers
+    /// (control decisions, leader search, lane-invasion sensing, lead-gap
+    /// logging, [`projection`](Self::projection)) never project an actor
+    /// twice.
     projections: Vec<Option<LaneProjection>>,
     time: SimTime,
     frame_hint: u64,
@@ -208,6 +210,17 @@ impl World {
         &self.actors[id.0 as usize]
     }
 
+    /// An actor's whole-network projection, read from the projection
+    /// column: bit for bit `network().project(position)` of its current
+    /// position, without projecting. `None` only on an empty network.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an unknown id.
+    pub fn projection(&self, id: ActorId) -> Option<LaneProjection> {
+        self.projections[id.0 as usize]
+    }
+
     /// Sets the external control applied to an externally driven actor on
     /// subsequent steps.
     ///
@@ -280,7 +293,8 @@ impl World {
         controls.clear();
         controls.extend((0..self.actors.len()).map(|i| self.decide_control(i)));
 
-        // Pass 2: integrate, then re-project whoever moved.
+        // Pass 2: integrate, then re-project whoever moved, seeded with
+        // its own previous entry (it moved at most one tick's distance).
         for ((actor, control), proj) in self
             .actors
             .iter_mut()
@@ -291,7 +305,11 @@ impl World {
             // `integrate` returns before touching a Stationary actor's
             // state, so its projection is still exact.
             if !actor.is_stationary_behavior() {
-                *proj = self.net.project(actor.state().position());
+                let position = actor.state().position();
+                *proj = match *proj {
+                    Some(prev) => self.net.project_seeded(position, prev.position),
+                    None => self.net.project(position),
+                };
             }
         }
         self.control_scratch = controls;
@@ -315,14 +333,16 @@ impl World {
             Behavior::Stationary => ControlInput::COAST.with_handbrake(true),
             Behavior::LaneFollow(cfg) => {
                 // The nearest lane's projection is the column entry itself:
-                // `project` returns `project_onto_lane` of the lane it picks.
+                // `project` returns `project_onto_lane` of the lane it picks,
+                // so an override naming that lane reads it too.
+                let column = self.projections[index].expect("network has lanes");
                 let pos = match cfg.lane_override {
-                    Some(lane) => {
+                    Some(lane) if lane != column.position.lane => {
                         self.net
                             .project_onto_lane(lane, actor.state().position())
                             .position
                     }
-                    None => self.projections[index].expect("network has lanes").position,
+                    _ => column.position,
                 };
                 let leader = self.find_leader(index, pos, cfg.leader_horizon);
                 cfg.control(&self.net, pos, actor.state(), actor.spec(), leader)
@@ -408,7 +428,11 @@ impl World {
         let Some(ego_id) = self.ego else { return };
         let Some(lane_id) = self.ego_lane else { return };
         let ego_pos = self.actors[ego_id.0 as usize].state().position();
-        let proj = self.net.project_onto_lane(lane_id, ego_pos);
+        // On the column's lane the column entry is this projection.
+        let proj = match self.projections[ego_id.0 as usize] {
+            Some(column) if column.position.lane == lane_id => column,
+            _ => self.net.project_onto_lane(lane_id, ego_pos),
+        };
         let lane = self.net.lane(lane_id);
         let outside = lane.is_outside(proj.lateral);
         if outside && !self.ego_was_outside {
@@ -424,13 +448,13 @@ impl World {
         self.ego_was_outside = outside;
 
         // Re-anchor the tracked lane to wherever the ego actually is:
-        // current lane, its neighbours, or its successors (and their
-        // neighbours, to follow diagonal motion at segment joints). The
-        // candidate buffer persists across steps so this allocates only
-        // until it reaches its high-water mark.
+        // current lane (already projected: `proj` is the first candidate),
+        // its neighbours, or its successors (and their neighbours, to
+        // follow diagonal motion at segment joints). The candidate buffer
+        // persists across steps so this allocates only until it reaches
+        // its high-water mark.
         let mut candidates = std::mem::take(&mut self.lane_candidates);
         candidates.clear();
-        candidates.push(lane_id);
         if let Some(l) = lane.left_neighbor() {
             candidates.push(l);
         }
@@ -447,13 +471,12 @@ impl World {
                 candidates.push(r);
             }
         }
-        if let Some(best) = self.net.project_among(&candidates, ego_pos) {
-            if best.position.lane != lane_id
-                && !self.net.lane(best.position.lane).is_outside(best.lateral)
-            {
-                self.ego_lane = Some(best.position.lane);
-                self.ego_was_outside = false;
-            }
+        let best = self.net.project_among_from(proj, &candidates, ego_pos);
+        if best.position.lane != lane_id
+            && !self.net.lane(best.position.lane).is_outside(best.lateral)
+        {
+            self.ego_lane = Some(best.position.lane);
+            self.ego_was_outside = false;
         }
         self.lane_candidates = candidates;
     }
@@ -929,15 +952,97 @@ mod tests {
                 Behavior::LaneFollow(LaneFollowConfig::urban(MetersPerSecond::new(8.0))),
                 MetersPerSecond::new(8.0),
             );
+            // Lane overrides naming the spawn lane (read from the column)
+            // and its inner neighbour (projected).
+            for lane in [LaneId(0), LaneId(1)] {
+                let cfg = LaneFollowConfig::urban(MetersPerSecond::new(6.0)).with_lane(lane);
+                w.spawn_npc_at(
+                    "slalom-1",
+                    ActorKind::Vehicle,
+                    VehicleSpec::passenger_car(),
+                    Behavior::LaneFollow(cfg),
+                    MetersPerSecond::new(6.0),
+                );
+            }
             let horizon = Meters::new(400.0);
             for op in ops {
                 apply(&mut w, op);
-                for (a, p) in w.actors.iter().zip(&w.projections) {
-                    let fresh = w.network().project(a.state().position());
-                    prop_assert_eq!(projection_bits(p), projection_bits(&fresh));
+                for a in w.actors() {
+                    let position = a.state().position();
+                    let column = w.projection(a.id());
+                    let fresh = w.network().project(position);
+                    prop_assert_eq!(projection_bits(&column), projection_bits(&fresh));
+                    // The identities the column reads rest on: the
+                    // column's lane projected onto directly (`lane_override`
+                    // in `decide_control`, the tracked lane in
+                    // `sense_lane_invasion`) is the column entry.
+                    let column = column.expect("town05 has lanes");
+                    let direct = w.network().project_onto_lane(column.position.lane, position);
+                    prop_assert_eq!(projection_bits(&Some(column)), projection_bits(&Some(direct)));
+                }
+                if let (Some(ego), Some(lane)) = (w.ego_id(), w.ego_lane()) {
+                    // Re-anchoring, started from the column entry when the
+                    // tracked lane is the column's lane, picks the first
+                    // nearest candidate, each projected in full.
+                    let position = w.actor(ego).state().position();
+                    let net = w.network();
+                    let l = net.lane(lane);
+                    let others: Vec<LaneId> = l
+                        .left_neighbor()
+                        .into_iter()
+                        .chain(l.right_neighbor())
+                        .chain(l.successors().iter().copied())
+                        .collect();
+                    let start = match w.projection(ego) {
+                        Some(column) if column.position.lane == lane => column,
+                        _ => net.project_onto_lane(lane, position),
+                    };
+                    let mut want = net.project_onto_lane(lane, position);
+                    for &id in &others {
+                        let proj = net.project_onto_lane(id, position);
+                        if proj.distance < want.distance {
+                            want = proj;
+                        }
+                    }
+                    prop_assert_eq!(
+                        projection_bits(&Some(net.project_among_from(start, &others, position))),
+                        projection_bits(&Some(want))
+                    );
                 }
                 prop_assert_eq!(w.ego_lead_gap(horizon), lead_gap_reference(&w, horizon));
             }
+        }
+    }
+
+    #[test]
+    fn nan_positioned_npc_steps_without_panicking() {
+        // A NaN position still projects (lane 0, s 0, infinite distance),
+        // seeded or not, so the control decision finds its column entry.
+        let mut w = world();
+        w.spawn_ego_at("ego-start", VehicleSpec::passenger_car());
+        let mut npcs = Vec::new();
+        for cfg in [
+            LaneFollowConfig::urban(MetersPerSecond::new(8.0)),
+            LaneFollowConfig::urban(MetersPerSecond::new(8.0)).with_lane(LaneId(0)),
+        ] {
+            npcs.push(w.spawn_npc_at(
+                "lead-start",
+                ActorKind::Vehicle,
+                VehicleSpec::passenger_car(),
+                Behavior::LaneFollow(cfg),
+                MetersPerSecond::new(8.0),
+            ));
+        }
+        for &npc in &npcs {
+            w.teleport_pose(npc, Pose2::new(Vec2::new(f64::NAN, 0.0), Radians::new(0.0)));
+        }
+        for _ in 0..20 {
+            w.step(DT);
+        }
+        for npc in npcs {
+            let proj = w.projection(npc).expect("NaN still projects");
+            assert_eq!(proj.position, LanePosition::new(LaneId(0), Meters::ZERO));
+            assert_eq!(proj.distance.get(), f64::INFINITY);
         }
     }
 
