@@ -7,7 +7,10 @@ use rdsim_math::{ButterworthLowPass, RngStream, Sample};
 use rdsim_metrics::{steering_reversal_rate, ttc_series, SrrConfig, TtcConfig};
 use rdsim_netem::{NetemConfig, NetemQdisc, Packet, PacketKind, Qdisc};
 use rdsim_roadnet::town05;
-use rdsim_simulator::{decode_frame, encode_frame, ActorKind, Behavior, LaneFollowConfig, World};
+use rdsim_simulator::{
+    decode_frame_into, encode_frame_into, ActorKind, Behavior, LaneFollowConfig, World,
+    WorldSnapshot,
+};
 use rdsim_units::{Hertz, MetersPerSecond, Millis, Ratio, Seconds, SimDuration, SimTime};
 use rdsim_vehicle::{ControlInput, KinematicBicycle, VehicleSpec, VehicleState};
 use std::hint::black_box;
@@ -98,13 +101,22 @@ fn simulator_benches(c: &mut Criterion) {
         );
         world.snapshot()
     };
-    g.throughput(Throughput::Bytes(20_000));
-    g.bench_function("frame_encode_20kB", |b| {
-        b.iter(|| black_box(encode_frame(black_box(&snapshot), 20_000)))
+    let mut encoded = Vec::new();
+    encode_frame_into(&snapshot, &mut encoded);
+    g.throughput(Throughput::Bytes(encoded.len() as u64));
+    g.bench_function("frame_encode", |b| {
+        let mut out = Vec::new();
+        b.iter(|| {
+            encode_frame_into(black_box(&snapshot), &mut out);
+            black_box(&out);
+        })
     });
-    let encoded = encode_frame(&snapshot, 20_000);
-    g.bench_function("frame_decode_20kB", |b| {
-        b.iter(|| black_box(decode_frame(black_box(&encoded)).expect("valid")))
+    g.bench_function("frame_decode", |b| {
+        let mut decoded = WorldSnapshot::default();
+        b.iter(|| {
+            decode_frame_into(black_box(&encoded), &mut decoded).expect("valid");
+            black_box(&decoded);
+        })
     });
     g.finish();
 }

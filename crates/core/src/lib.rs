@@ -59,7 +59,7 @@ pub use fault::{FaultKind, FaultSpec, PaperFault};
 pub use infrastructure::{InfrastructureSubsystem, RoadsideUnit};
 pub use pipeline::{Stage, StageContext, StepScratch};
 pub use protocol::{
-    decode_command, encode_command, encode_command_into, encode_command_pooled, CommandCodecError,
+    decode_command, encode_command_into, encode_command_pooled, CommandCodecError,
     COMMAND_PACKET_BYTES,
 };
 pub use runlog::{EgoSample, IncidentKind, IncidentMark, LeadObservation, OtherSample, RunLog};

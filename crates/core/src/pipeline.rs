@@ -258,9 +258,9 @@ impl Stage for CaptureStage {
 }
 
 /// Stage 4 — uplink (vehicle → operator): sequences every captured
-/// frame into a video packet (tracing capture + encode), offers the
-/// batch to the uplink NETEM direction and collects whatever the link
-/// delivers this tick.
+/// frame into a video packet of the frame's wire size (tracing capture +
+/// encode), offers the batch to the uplink NETEM direction and collects
+/// whatever the link delivers this tick.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct UplinkStage;
 stage_names!(UplinkStage, "uplink");
@@ -293,13 +293,11 @@ impl Stage for UplinkStage {
             let captured_us = frame.captured_at.as_micros();
             core.tracer
                 .record(id, TraceStage::Capture, captured_us, frame.frame_id);
-            core.tracer.record(
-                id,
-                TraceStage::Encode,
-                captured_us,
-                frame.payload.len() as u64,
+            core.tracer
+                .record(id, TraceStage::Encode, captured_us, frame.wire_len as u64);
+            packets.push(
+                Packet::new(seq, PacketKind::Video, frame.payload).with_wire_len(frame.wire_len),
             );
-            packets.push(Packet::new(seq, PacketKind::Video, frame.payload));
         }
         core.link.uplink.transfer_into(packets, now, arrived_frames);
     }
@@ -342,12 +340,7 @@ impl Stage for DisplayStage {
                 .take()
                 .or_else(|| ctx.operator.recycle_frame())
                 .unwrap_or_else(|| ReceivedFrame {
-                    snapshot: WorldSnapshot {
-                        time: SimTime::ZERO,
-                        frame_id: 0,
-                        ego: None,
-                        others: Vec::new(),
-                    },
+                    snapshot: WorldSnapshot::default(),
                     captured_at: SimTime::ZERO,
                     received_at: SimTime::ZERO,
                 });

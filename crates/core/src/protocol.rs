@@ -1,11 +1,27 @@
 //! Wire format for driving commands (operator → vehicle).
 //!
-//! Commands are small fixed-size packets, checksummed like the video
-//! frames so corruption faults are detected rather than silently steering
-//! the car — mirroring how any sane teleoperation protocol CRCs its
-//! control channel.
+//! Commands are small fixed-size packets, checksummed with the video
+//! frames' [`wire_checksum`] so corruption faults are detected rather than
+//! silently steering the car — mirroring how any sane teleoperation
+//! protocol CRCs its control channel.
+//!
+//! Layout (little-endian), zero-padded to [`COMMAND_PACKET_BYTES`]:
+//!
+//! ```text
+//! offset  size
+//!  0      4 B  magic "RDSC"
+//!  4      1 B  version
+//!  5      4 B  check: wire_checksum over the 34 bytes after this field
+//!  9      8 B  sequence number
+//! 17      8 B  throttle (f64 bits)
+//! 25      8 B  brake (f64 bits)
+//! 33      8 B  steer (f64 bits)
+//! 41      1 B  reverse
+//! 42      1 B  handbrake
+//! ```
 
 use bytes::Bytes;
+use rdsim_simulator::wire_checksum;
 use rdsim_vehicle::ControlInput;
 use std::fmt;
 
@@ -14,7 +30,9 @@ use std::fmt;
 pub const COMMAND_PACKET_BYTES: usize = 64;
 
 const MAGIC: &[u8; 4] = b"RDSC";
-const VERSION: u8 = 1;
+const VERSION: u8 = 2;
+const HEADER_LEN: usize = 9;
+const BODY_LEN: usize = 8 + 8 + 8 + 8 + 1 + 1;
 
 /// Error from [`decode_command`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -39,26 +57,10 @@ impl fmt::Display for CommandCodecError {
 
 impl std::error::Error for CommandCodecError {}
 
-fn fnv1a(bytes: &[u8]) -> u32 {
-    let mut hash: u32 = 0x811C_9DC5;
-    for &b in bytes {
-        hash ^= u32::from(b);
-        hash = hash.wrapping_mul(0x0100_0193);
-    }
-    hash
-}
-
-/// Encodes a command with its sequence number into a fixed-size packet.
-pub fn encode_command(seq: u64, control: &ControlInput) -> Bytes {
-    let mut out = Vec::with_capacity(COMMAND_PACKET_BYTES);
-    encode_command_into(seq, control, &mut out);
-    Bytes::from(out)
-}
-
-/// Encodes a command directly into `out` (cleared first), producing
-/// byte-for-byte the packet of [`encode_command`]. Allocation-free when
-/// `out` has [`COMMAND_PACKET_BYTES`] of capacity — the body is written
-/// once with a checksum placeholder that is patched afterwards.
+/// Encodes a command with its sequence number into `out` (cleared
+/// first), a packet of [`COMMAND_PACKET_BYTES`]. Allocation-free when
+/// `out` has that capacity — the body is written once with a checksum
+/// placeholder that is patched afterwards.
 pub fn encode_command_into(seq: u64, control: &ControlInput, out: &mut Vec<u8>) {
     out.clear();
     out.extend_from_slice(MAGIC);
@@ -71,7 +73,7 @@ pub fn encode_command_into(seq: u64, control: &ControlInput, out: &mut Vec<u8>) 
     out.extend_from_slice(&control.steer.to_bits().to_le_bytes());
     out.push(u8::from(control.reverse));
     out.push(u8::from(control.handbrake));
-    let check = fnv1a(&out[body_start..]);
+    let check = wire_checksum(&out[body_start..]);
     out[body_start - 4..body_start].copy_from_slice(&check.to_le_bytes());
     out.resize(COMMAND_PACKET_BYTES, 0);
 }
@@ -91,16 +93,15 @@ pub fn encode_command_pooled(seq: u64, control: &ControlInput, pool: &bytes::Buf
 /// Returns [`CommandCodecError`] for truncated, malformed or corrupted
 /// packets. The decoded control is sanitised (clamped into valid ranges).
 pub fn decode_command(payload: &[u8]) -> Result<(u64, ControlInput), CommandCodecError> {
-    const BODY_LEN: usize = 8 + 8 + 8 + 8 + 1 + 1;
-    if payload.len() < 9 + BODY_LEN {
+    if payload.len() < HEADER_LEN + BODY_LEN {
         return Err(CommandCodecError::Truncated);
     }
     if &payload[0..4] != MAGIC || payload[4] != VERSION {
         return Err(CommandCodecError::BadHeader);
     }
     let check = u32::from_le_bytes(payload[5..9].try_into().expect("len 4"));
-    let body = &payload[9..9 + BODY_LEN];
-    if fnv1a(body) != check {
+    let body = &payload[HEADER_LEN..HEADER_LEN + BODY_LEN];
+    if wire_checksum(body) != check {
         return Err(CommandCodecError::ChecksumMismatch);
     }
     let seq = u64::from_le_bytes(body[0..8].try_into().expect("len 8"));
@@ -122,6 +123,67 @@ pub fn decode_command(payload: &[u8]) -> Result<(u64, ControlInput), CommandCode
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use rdsim_math::RngStream;
+
+    fn encode_command(seq: u64, control: &ControlInput) -> Vec<u8> {
+        let mut out = Vec::new();
+        encode_command_into(seq, control, &mut out);
+        out
+    }
+
+    /// FNV-1a, the checksum the command codec carried before
+    /// [`wire_checksum`], kept to show both reject the same flips.
+    fn fnv1a(bytes: &[u8]) -> u32 {
+        bytes.iter().fold(0x811C_9DC5, |h: u32, &b| {
+            (h ^ u32::from(b)).wrapping_mul(0x0100_0193)
+        })
+    }
+
+    #[test]
+    fn pooled_encoder_matches_the_in_place_one() {
+        let pool = bytes::BufPool::with_slot_capacity(COMMAND_PACKET_BYTES);
+        let c = ControlInput::new(0.25, 0.5, 0.75).with_handbrake(true);
+        let pooled = encode_command_pooled(9, &c, &pool);
+        assert_eq!(&pooled[..], &encode_command(9, &c)[..]);
+        drop(pooled);
+        // A recycled slot carries no stale bytes.
+        let warm = encode_command_pooled(3, &ControlInput::COAST, &pool);
+        assert_eq!(&warm[..], &encode_command(3, &ControlInput::COAST)[..]);
+    }
+
+    #[test]
+    fn every_header_and_body_bit_flip_is_rejected() {
+        let mut rng = RngStream::from_seed(0xC0DE).substream("command-flips");
+        for _ in 0..300 {
+            let control = ControlInput {
+                throttle: rdsim_units::Ratio::new(f64::from_bits(rng.next_u64())),
+                brake: rdsim_units::Ratio::new(rng.uniform()),
+                steer: f64::from_bits(rng.next_u64()),
+                reverse: rng.bernoulli(0.5),
+                handbrake: rng.bernoulli(0.5),
+            };
+            let packet = encode_command(rng.next_u64(), &control);
+            assert!(decode_command(&packet).is_ok());
+            let old_range = HEADER_LEN..HEADER_LEN + BODY_LEN;
+            for bit in 0..old_range.end * 8 {
+                let mut flipped = packet.clone();
+                flipped[bit / 8] ^= 1 << (bit % 8);
+                let err = decode_command(&flipped).expect_err("flip accepted");
+                if bit < 5 * 8 {
+                    assert_eq!(err, CommandCodecError::BadHeader, "bit {bit}");
+                } else {
+                    assert_eq!(err, CommandCodecError::ChecksumMismatch, "bit {bit}");
+                }
+                if bit >= HEADER_LEN * 8 {
+                    assert_ne!(
+                        fnv1a(&flipped[old_range.clone()]),
+                        fnv1a(&packet[old_range.clone()]),
+                        "bit {bit}"
+                    );
+                }
+            }
+        }
+    }
 
     #[test]
     fn roundtrip() {

@@ -146,6 +146,13 @@ impl RunLog {
         self.others.reserve(others);
     }
 
+    /// Reserves room for `events` more collisions and as many more lane
+    /// invasions.
+    pub fn reserve_events(&mut self, events: usize) {
+        self.collisions.reserve(events);
+        self.lane_invasions.reserve(events);
+    }
+
     pub(crate) fn push_ego(&mut self, sample: EgoSample) {
         self.ego.push(sample);
     }

@@ -509,10 +509,15 @@ impl SessionCore {
         if self.timeline.is_some() {
             self.timeline_tick(now, tl_speed_mps, tl_steer, ttc_s);
         }
-        let world = self.server.world_mut();
-        let collisions = world.drain_collisions();
-        let invasions = world.drain_lane_invasions();
-        for c in &collisions {
+        // Drained straight into the run log, so the world keeps its event
+        // buffers' capacity.
+        self.log
+            .extend_lane_invasions(self.server.world_mut().drain_lane_invasions());
+        let logged = self.log.collisions().len();
+        self.log
+            .extend_collisions(self.server.world_mut().drain_collisions());
+        for i in logged..self.log.collisions().len() {
+            let c = self.log.collisions()[i];
             // Incident arg: impact severity as |relative speed| in mm/s.
             let severity = (c.relative_speed.get().abs() * 1_000.0) as u64;
             self.mark_incident(
@@ -522,8 +527,6 @@ impl SessionCore {
                 severity,
             );
         }
-        self.log.extend_collisions(collisions);
-        self.log.extend_lane_invasions(invasions);
     }
 
     /// Folds this tick's link deltas, safety signals and fault bits into
@@ -845,7 +848,8 @@ impl RdsSession {
 
     /// Pre-sizes the session's buffers for a run of (at least) `duration`:
     /// run-log sample vectors from the step count and the current moving
-    /// vehicles, and the trace ring from the expected frame/command event
+    /// vehicles, run-log event vectors and the world's per-step event
+    /// buffers, and the trace ring from the expected frame/command event
     /// volume (clamped to its bound). Optional — purely an allocation
     /// optimisation — but after calling it a steady-state
     /// capture→…→actuate step performs zero heap allocations (see the
@@ -863,6 +867,13 @@ impl RdsSession {
             })
             .count();
         self.core.log.reserve_samples(steps, steps * movers);
+        // One collision and one lane invasion per simulated second: the
+        // study's runs log under 0.05 lane invasions per second, and a
+        // driver weaving under stress faults about 0.9.
+        self.core
+            .log
+            .reserve_events(duration.as_micros().div_ceil(1_000_000) as usize);
+        self.core.server.world_mut().reserve_step_events();
         let frames = (duration.as_secs_f64() * self.core.server.camera_config().max_fps.get())
             .ceil() as usize
             + 1;

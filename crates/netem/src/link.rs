@@ -304,6 +304,68 @@ mod tests {
     }
 
     #[test]
+    fn the_wire_size_is_what_the_link_carries_and_corrupts() {
+        // 1 Mbit/s: a 125-byte wire size serialises in 1 ms, whatever the
+        // payload, so a packet sent every 1 ms arrives 1 ms later. Half of
+        // it is payload, so about half the corruption draws flip a payload
+        // bit and the rest fall past the payload.
+        let tracer = rdsim_obs::Tracer::with_capacity(4_096);
+        let config = NetemConfig::default()
+            .with_rate(1_000_000)
+            .with_corrupt(Ratio::ONE);
+        let mut link = Link::with_config(config, 23);
+        link.attach_tracer(&tracer);
+        let original = vec![0x3Cu8; 62];
+        let n = 200u64;
+        let mut delivered = Vec::new();
+        for seq in 0..n {
+            let packet = Packet::new(seq, PacketKind::Video, original.clone()).with_wire_len(125);
+            link.send(packet, SimTime::from_millis(seq));
+            let due = SimTime::from_millis(seq + 1);
+            assert_eq!(
+                link.next_delivery(),
+                Some(due),
+                "serialised by the wire size"
+            );
+            delivered.extend(link.receive(due));
+        }
+        assert_eq!(link.stats().bytes_delivered, 125 * n);
+        assert_eq!(link.stats().corrupted, n, "every draw counts");
+        let mut flipped = 0;
+        for p in &delivered {
+            assert!(p.corrupted);
+            assert_eq!(p.len(), 125);
+            assert_eq!(p.payload.len(), original.len());
+            let diff_bits: u32 = p
+                .payload
+                .iter()
+                .zip(&original)
+                .map(|(a, b)| (a ^ b).count_ones())
+                .sum();
+            assert!(diff_bits <= 1);
+            flipped += u64::from(diff_bits);
+        }
+        assert!(
+            (1..n).contains(&flipped),
+            "{flipped} of {n} flips landed in the payload"
+        );
+        let log = tracer.log();
+        let args = |stage| {
+            log.events
+                .iter()
+                .filter(move |e| e.stage == stage)
+                .map(|e| e.arg & 0xFFFF_FFFF)
+        };
+        assert_eq!(
+            args(rdsim_obs::TraceStage::NetemCorrupt).count() as u64,
+            n,
+            "a flip past the payload still traces"
+        );
+        assert!(args(rdsim_obs::TraceStage::NetemCorrupt).all(|len| len == 125));
+        assert!(args(rdsim_obs::TraceStage::NetemEnqueue).all(|len| len == 125));
+    }
+
+    #[test]
     fn stats_track_latency() {
         let mut link = Link::with_config(NetemConfig::default().with_delay(Millis::new(50.0)), 1);
         link.send(video(1), SimTime::ZERO);

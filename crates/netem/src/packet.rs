@@ -40,6 +40,10 @@ pub struct Packet {
     pub kind: PacketKind,
     /// Payload bytes (for video frames this is the encoded frame).
     pub payload: Bytes,
+    /// Size on the wire declared by a sender that models a larger packet
+    /// than it builds (a video frame's compressed size around its encoded
+    /// scene); 0 when none was declared. See [`Packet::len`].
+    wire_len: usize,
     /// When the packet entered the link; set by [`crate::Link::send`].
     pub sent_at: SimTime,
     /// `true` if a corruption fault flipped bits in the payload.
@@ -62,6 +66,7 @@ impl Packet {
             seq,
             kind,
             payload: payload.into(),
+            wire_len: 0,
             sent_at: SimTime::ZERO,
             corrupted: false,
             duplicate: false,
@@ -70,14 +75,24 @@ impl Packet {
         }
     }
 
-    /// Payload size in bytes.
-    pub fn len(&self) -> usize {
-        self.payload.len()
+    /// Declares the packet's size on the wire. The bytes past the
+    /// payload are never built.
+    pub fn with_wire_len(mut self, wire_len: usize) -> Self {
+        self.wire_len = wire_len;
+        self
     }
 
-    /// `true` for an empty payload.
+    /// Size on the wire in bytes: the declared wire size or the payload's
+    /// length, whichever is larger. It is what the rate limiter
+    /// serialises, what a corruption draws its byte over, and what link
+    /// statistics count.
+    pub fn len(&self) -> usize {
+        self.wire_len.max(self.payload.len())
+    }
+
+    /// `true` for a packet of no bytes on the wire.
     pub fn is_empty(&self) -> bool {
-        self.payload.is_empty()
+        self.len() == 0
     }
 
     /// Latency experienced by the packet if delivered at `now`.
@@ -100,7 +115,7 @@ impl Packet {
     }
 
     /// The packet's metadata packed into the trace-annotation word:
-    /// payload length in the low 32 bits, the `corrupted` flag in bit 32,
+    /// wire size in the low 32 bits, the `corrupted` flag in bit 32,
     /// the `duplicate` flag in bit 33, and the send time (whole ms,
     /// saturating) in bits 34..=63.
     pub fn trace_arg(&self) -> u64 {
@@ -140,6 +155,17 @@ mod tests {
         assert!(!p.is_empty());
         assert!(!p.corrupted);
         assert!(!p.duplicate);
+    }
+
+    #[test]
+    fn wire_len_is_the_declared_size_and_never_below_the_payload() {
+        let p = Packet::new(1, PacketKind::Video, vec![7u8; 40]).with_wire_len(20_000);
+        assert_eq!(p.len(), 20_000);
+        assert_eq!(p.payload.len(), 40, "the padding is never built");
+        assert_eq!(p.trace_arg() & 0xFFFF_FFFF, 20_000);
+        assert_eq!(format!("{p}"), "video#1 (20000 B)");
+        let q = Packet::new(2, PacketKind::Video, vec![7u8; 40]).with_wire_len(10);
+        assert_eq!(q.len(), 40);
     }
 
     #[test]

@@ -16,10 +16,12 @@
 //! **zero** steady-state allocations per session step.
 //!
 //! * Frame payloads: one [`BufPool`] per [`SimulatorServer`] with slot
-//!   capacity `CameraConfig::min_frame_bytes` (the encoded size is
-//!   exactly `min_size` under padding).
+//!   capacity `frame_len(actors)`, the encoded scene of the world's
+//!   actors (a few hundred bytes). The configured
+//!   `CameraConfig::frame_bytes` is never built: it travels as the
+//!   packet's wire size ([`Packet::with_wire_len`](crate::Packet::with_wire_len)).
 //! * Command payloads: one [`BufPool`] per session core with 64-byte
-//!   slots (`COMMAND_WIRE_SIZE`).
+//!   slots (`COMMAND_PACKET_BYTES`).
 //!
 //! [`SimulatorServer`]: ../../rdsim_simulator/struct.SimulatorServer.html
 

@@ -145,8 +145,9 @@ impl Qdisc for FifoQdisc {
 ///   correlation; `GilbertElliott` is a two-state Markov burst model.
 /// * **duplicate** — the packet is queued twice (the copy marked
 ///   [`Packet::duplicate`]).
-/// * **corrupt** — a single random bit of the payload is flipped and the
-///   packet is marked [`Packet::corrupted`].
+/// * **corrupt** — a single random bit of the packet's wire size is
+///   flipped and the packet is marked [`Packet::corrupted`]. A bit past
+///   the payload (in wire bytes the sender never built) flips nothing.
 /// * **delay** — release time = enqueue time + base ± jitter. Correlated
 ///   jitter uses a first-order autoregressive mix, like netem. Note that
 ///   jitter may reorder packets relative to send order — exactly as real
@@ -154,8 +155,8 @@ impl Qdisc for FifoQdisc {
 /// * **reorder** — with the configured probability a packet bypasses the
 ///   delay entirely (sent immediately), the classic `reorder 25% 50%`
 ///   behaviour.
-/// * **rate** — packets acquire serialisation delay `len·8/rate` and queue
-///   behind previously serialised packets.
+/// * **rate** — packets acquire serialisation delay `len·8/rate`, with
+///   `len` the wire size, and queue behind previously serialised packets.
 #[derive(Debug)]
 pub struct NetemQdisc {
     config: NetemConfig,
@@ -353,20 +354,26 @@ impl NetemQdisc {
 
     fn maybe_corrupt(&mut self, packet: &mut Packet, now: SimTime) {
         if let Some(p) = self.config.corrupt {
-            if !packet.payload.is_empty() && self.rng.bernoulli(p.get()) {
-                let byte = self.rng.uniform_usize(packet.payload.len());
+            if !packet.is_empty() && self.rng.bernoulli(p.get()) {
+                // The byte is drawn over the wire size. One past the
+                // payload lies in bytes the sender never built, so the
+                // flip is a no-op, but the packet still counts and traces
+                // as corrupted, with the same draws.
+                let byte = self.rng.uniform_usize(packet.len());
                 let bit = self.rng.uniform_usize(8);
                 // Corruption runs before the duplicate clone is pushed,
                 // so the payload is normally unshared and the bit flips
                 // in place; a shared payload (clone held elsewhere)
                 // falls back to one copy. The RNG draw order is
                 // identical either way.
-                if let Some(bytes) = packet.payload.try_mut_slice() {
-                    bytes[byte] ^= 1 << bit;
-                } else {
-                    let mut bytes = packet.payload.to_vec();
-                    bytes[byte] ^= 1 << bit;
-                    packet.payload = bytes.into();
+                if byte < packet.payload.len() {
+                    if let Some(bytes) = packet.payload.try_mut_slice() {
+                        bytes[byte] ^= 1 << bit;
+                    } else {
+                        let mut bytes = packet.payload.to_vec();
+                        bytes[byte] ^= 1 << bit;
+                        packet.payload = bytes.into();
+                    }
                 }
                 packet.corrupted = true;
                 self.corrupted += 1;
@@ -977,7 +984,7 @@ mod tests {
         assert!(q.dropped() > 0 && q.duplicated() > 0 && q.corrupted() > 0);
         // Annotations carry the packet's metadata word: duplicate deliveries
         // have bit 33 set, and every enqueue arg's low 32 bits are the
-        // payload length of our fixed test packet.
+        // wire size of our fixed test packet.
         let dup_seq = delivered.iter().find(|p| p.duplicate).expect("dup").seq;
         assert!(log
             .lineage(rdsim_obs::TraceId::new(ArtifactKind::Command, dup_seq))

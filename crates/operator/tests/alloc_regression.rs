@@ -32,7 +32,9 @@ static ALLOC: rdsim_obs::CountingAlloc = rdsim_obs::CountingAlloc;
 /// 14 s: the spare-scene pool reaches its high-water mark (the most
 /// scenes ever pending in both percept queues at once) by about 13 s.
 const WARMUP_STEPS: u64 = 700;
-const MEASURE_STEPS: u64 = 650;
+/// 14 s to 40 s. The ego starts crossing lane markings at 29.7 s, so
+/// the window covers steps that log lane invasions.
+const MEASURE_STEPS: u64 = 1_300;
 
 /// Every qdisc branch in one config (as in `rdsim-core`'s gate).
 fn stress_config() -> NetemConfig {
@@ -85,7 +87,7 @@ fn session() -> RdsSession {
         stress_config(),
     ))
     .expect("non-overlapping windows");
-    s.preallocate(SimDuration::from_secs(30));
+    s.preallocate(SimDuration::from_secs(40));
     s
 }
 
@@ -146,11 +148,13 @@ fn driver_model_steady_state_step_allocates_nothing() {
         allocs: 0,
         bytes: 0,
     };
+    let invasions_before = s.world().lane_invasion_count();
     let start = alloc_counts();
     for _ in 0..MEASURE_STEPS {
         s.step(&mut driver);
     }
     let spent = alloc_counts().since(start);
+    let invasions = s.world().lane_invasion_count() - invasions_before;
     assert_eq!(
         spent.allocs, 0,
         "a driver-model step allocated {} times ({} B) over {MEASURE_STEPS} steps; \
@@ -158,8 +162,10 @@ fn driver_model_steady_state_step_allocates_nothing() {
         spent.allocs, spent.bytes, driver.spent.allocs, driver.spent.bytes
     );
 
-    // The run was live: frames reached the driver and the ego moved.
+    // The run was live: frames reached the driver, the ego moved, and
+    // the window logged lane invasions.
     assert!(driver.inner.perception().frames_seen() > 0);
+    assert!(invasions > 0, "no lane invasion in the measured window");
     let ego = s.world().ego_id().expect("ego spawned");
     assert!(s.world().actor(ego).state().speed.get() > 1.0);
 }

@@ -1,6 +1,6 @@
 //! The camera sensor: produces video frames at 25–30 fps.
 
-use crate::{codec::encode_frame_pooled, WorldSnapshot};
+use crate::{encode_frame_pooled, frame_len, WorldSnapshot};
 use bytes::{BufPool, Bytes};
 use rdsim_math::RngStream;
 use rdsim_obs::{Histogram, Recorder};
@@ -16,7 +16,10 @@ pub struct CameraConfig {
     pub min_fps: Hertz,
     /// Upper bound of the frame rate band.
     pub max_fps: Hertz,
-    /// Synthetic encoded-frame size in bytes (compressed-video stand-in).
+    /// Size in bytes of the compressed video frame each capture stands
+    /// for. It travels as the frame's wire size, which netem queues,
+    /// rate-limits and corrupts; the payload itself is only the encoded
+    /// scene, and a scene larger than this sets the wire size instead.
     pub frame_bytes: usize,
 }
 
@@ -51,20 +54,12 @@ pub struct VideoFrame {
     pub frame_id: u64,
     /// Capture time.
     pub captured_at: SimTime,
-    /// Encoded (and padded) snapshot bytes; see [`crate::decode_frame`].
+    /// The encoded snapshot, and nothing else; see
+    /// [`crate::decode_frame_into`].
     pub payload: Bytes,
-}
-
-impl VideoFrame {
-    /// Payload size in bytes.
-    pub fn len(&self) -> usize {
-        self.payload.len()
-    }
-
-    /// `true` if the payload is empty (never for camera output).
-    pub fn is_empty(&self) -> bool {
-        self.payload.is_empty()
-    }
+    /// Size on the wire in bytes: [`CameraConfig::frame_bytes`], or the
+    /// payload's length if that is larger.
+    pub wire_len: usize,
 }
 
 /// Generates frames whenever the simulation clock passes the next capture
@@ -94,8 +89,9 @@ impl CameraSensor {
     }
 
     /// Attaches a recorder; subsequent encodes are timed into
-    /// `codec.encode_ns` and sized into `codec.frame_bytes`. A null
-    /// recorder detaches, and encodes read no clock.
+    /// `codec.encode_ns` and their wire sizes recorded into
+    /// `codec.frame_bytes`. A null recorder detaches, and encodes read no
+    /// clock.
     pub fn set_recorder(&mut self, recorder: &Recorder) {
         self.codec_obs = recorder.enabled().then(|| {
             (
@@ -133,12 +129,7 @@ impl CameraSensor {
         mut snapshot_fn: impl FnMut() -> WorldSnapshot,
     ) -> Vec<VideoFrame> {
         let pool = BufPool::new();
-        let mut scratch = WorldSnapshot {
-            time: SimTime::ZERO,
-            frame_id: 0,
-            ego: None,
-            others: Vec::new(),
-        };
+        let mut scratch = WorldSnapshot::default();
         // Capacity from the polled span × the rate band's upper edge, so
         // even a coarse catch-up poll fills without regrowing.
         let mut frames = Vec::with_capacity(self.frames_due(now));
@@ -170,20 +161,25 @@ impl CameraSensor {
             snapshot_fn(snapshot);
             snapshot.time = captured_at;
             snapshot.frame_id = self.next_frame_id;
+            let wire_len = self
+                .config
+                .frame_bytes
+                .max(frame_len(snapshot.actor_count()));
             let payload = match &self.codec_obs {
                 Some((encode_ns, frame_bytes)) => {
                     let start = Instant::now();
-                    let payload = encode_frame_pooled(snapshot, self.config.frame_bytes, pool);
+                    let payload = encode_frame_pooled(snapshot, pool);
                     encode_ns.record(start.elapsed().as_nanos() as u64);
-                    frame_bytes.record(payload.len() as u64);
+                    frame_bytes.record(wire_len as u64);
                     payload
                 }
-                None => encode_frame_pooled(snapshot, self.config.frame_bytes, pool),
+                None => encode_frame_pooled(snapshot, pool),
             };
             out.push(VideoFrame {
                 frame_id: self.next_frame_id,
                 captured_at,
                 payload,
+                wire_len,
             });
             self.next_frame_id += 1;
             let fps = self
@@ -209,15 +205,10 @@ impl CameraSensor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::decode_frame;
+    use crate::decode_frame_into;
 
     fn empty_snapshot() -> WorldSnapshot {
-        WorldSnapshot {
-            time: SimTime::ZERO,
-            frame_id: 0,
-            ego: None,
-            others: Vec::new(),
-        }
+        WorldSnapshot::default()
     }
 
     fn camera(cfg: CameraConfig) -> CameraSensor {
@@ -266,15 +257,35 @@ mod tests {
     }
 
     #[test]
-    fn payload_is_decodable_and_padded() {
+    fn payload_is_the_body_and_the_wire_size_the_frame_size() {
         let mut cam = camera(CameraConfig::fixed(Hertz::new(30.0), 20_000));
         let frames = cam.poll(SimTime::ZERO, empty_snapshot);
         assert_eq!(frames.len(), 1);
-        assert_eq!(frames[0].len(), 20_000);
-        assert!(!frames[0].is_empty());
-        let snap = decode_frame(&frames[0].payload).unwrap();
+        assert_eq!(frames[0].payload.len(), frame_len(0));
+        assert_eq!(frames[0].wire_len, 20_000);
+        let mut snap = WorldSnapshot::default();
+        decode_frame_into(&frames[0].payload, &mut snap).unwrap();
         assert_eq!(snap.frame_id, 0);
         assert_eq!(snap.time, SimTime::ZERO);
+    }
+
+    #[test]
+    fn a_scene_larger_than_the_frame_size_sets_the_wire_size() {
+        let mut cam = camera(CameraConfig::fixed(Hertz::new(30.0), 0));
+        let frames = cam.poll(SimTime::ZERO, empty_snapshot);
+        assert_eq!(frames[0].wire_len, frame_len(0));
+    }
+
+    #[test]
+    fn recorder_sizes_frames_by_wire_size() {
+        let registry = rdsim_obs::Registry::new();
+        let mut cam = camera(CameraConfig::fixed(Hertz::new(25.0), 4_000));
+        cam.set_recorder(&registry.recorder());
+        cam.poll(SimTime::from_millis(200), empty_snapshot);
+        let t = registry.snapshot();
+        let sizes = t.histogram("codec.frame_bytes").expect("recorded");
+        assert_eq!(sizes.count, 6, "t = 0, 40, ..., 200 ms");
+        assert_eq!((sizes.min, sizes.max), (4_000, 4_000));
     }
 
     #[test]

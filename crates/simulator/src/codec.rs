@@ -2,26 +2,35 @@
 //!
 //! Real teleoperation stacks ship compressed video; a flipped bit either
 //! slips through as visual noise or is caught by the container checksum.
-//! This codec gives the reproduction the same property: frames serialise
-//! to a compact binary layout with an FNV-1a checksum, padded with filler
-//! bytes to the configured frame size so the network emulator sees
-//! realistically sized packets. Decoding a corrupted frame fails loudly,
-//! and the operator subsystem treats it as a dropped frame.
+//! This codec gives the reproduction the same property: a frame carries the
+//! scene as a compact binary body behind a [`wire_checksum`], and decoding
+//! a corrupted frame fails loudly, which the operator subsystem treats as a
+//! dropped frame.
 //!
-//! Layout (little-endian):
+//! The payload is the body only. The size of the compressed video frame it
+//! stands in for ([`CameraConfig::frame_bytes`](crate::CameraConfig)) travels
+//! beside it as the packet's wire size, which is what the network emulator
+//! queues, rate-limits and draws its corruption over. A bit flip drawn past
+//! the body changes nothing, as a flip in a video's pixels would not
+//! invalidate the scene.
+//!
+//! Layout (little-endian; a payload is exactly [`frame_len`]`(n)` bytes):
 //!
 //! ```text
-//! magic   4 B  "RDSF"
-//! version 1 B
-//! check   4 B  FNV-1a over everything after this field
-//! frame   8 B  frame id
-//! time    8 B  capture time (µs)
-//! n       2 B  actor count (ego first if present)
-//! has_ego 1 B
-//! actors  n × 46 B (id u32, kind u8, x f64, y f64, heading f64,
-//!                   speed f64, length f64, width f64 — f64s as bits)
-//! padding to the requested frame size (zeros)
+//! offset  size
+//!  0      4 B     magic "RDSF"
+//!  4      1 B     version
+//!  5      4 B     check: wire_checksum over every byte after this field
+//!  9      8 B     frame id
+//! 17      8 B     capture time (µs)
+//! 25      2 B     actor count n (ego first if present)
+//! 27      1 B     has_ego
+//! 28      n × 53 B actors: id u32, kind u8, then x, y, heading, speed,
+//!                 length and width as f64 bits
 //! ```
+//!
+//! The decoder checks the length against `n` once and then reads every
+//! field at a fixed offset.
 
 use crate::{ActorId, ActorKind, ActorSnapshot, WorldSnapshot};
 use bytes::{BufPool, Bytes};
@@ -30,17 +39,25 @@ use rdsim_units::{Meters, MetersPerSecond, Radians, SimTime};
 use std::fmt;
 
 const MAGIC: &[u8; 4] = b"RDSF";
-const VERSION: u8 = 1;
+const VERSION: u8 = 2;
+/// The checksum field; the checksummed body starts where it ends.
+const CHECK: std::ops::Range<usize> = 5..9;
 const HEADER_LEN: usize = 4 + 1 + 4 + 8 + 8 + 2 + 1;
 const ACTOR_LEN: usize = 4 + 1 + 6 * 8;
 
-/// Error from [`decode_frame`].
+/// Rotation between checksum words. Any amount works for single-bit
+/// detection; an odd one spreads adjacent words' bits apart.
+const CHECKSUM_ROTATION: u32 = 23;
+
+/// Error from [`decode_frame_into`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CodecError {
     /// The buffer is smaller than a valid frame header.
     Truncated,
     /// The magic bytes or version are wrong.
     BadHeader,
+    /// The payload's length is not the one its actor count implies.
+    LengthMismatch,
     /// The checksum does not match: the payload was corrupted in flight.
     ChecksumMismatch,
     /// An actor record encodes an unknown kind tag.
@@ -52,6 +69,7 @@ impl fmt::Display for CodecError {
         match self {
             CodecError::Truncated => f.write_str("frame truncated"),
             CodecError::BadHeader => f.write_str("bad frame header"),
+            CodecError::LengthMismatch => f.write_str("frame length does not match actor count"),
             CodecError::ChecksumMismatch => f.write_str("frame checksum mismatch"),
             CodecError::BadActorKind(k) => write!(f, "unknown actor kind tag {k}"),
         }
@@ -59,6 +77,40 @@ impl fmt::Display for CodecError {
 }
 
 impl std::error::Error for CodecError {}
+
+/// The checksum of both wire codecs: frames here, driving commands in
+/// `rdsim-core`.
+///
+/// The bytes are read as little-endian `u64` words, the last one
+/// zero-extended, and folded as `h = h.rotate_left(23) ^ word`; the two
+/// halves of `h` are then XORed into 32 bits. Every step moves each bit to
+/// exactly one place: a rotation permutes the bits of `h`, XOR adds the
+/// word bit for bit, and the fold sends bit `i` of `h` to bit `i mod 32` of
+/// the result. So flipping one input bit flips exactly one result bit, and
+/// every single-bit error in a range of known length is detected, which is
+/// the only error netem's corruption makes. Errors of several bits can
+/// cancel.
+pub fn wire_checksum(bytes: &[u8]) -> u32 {
+    let mut words = bytes.chunks_exact(8);
+    let mut h = 0u64;
+    for word in &mut words {
+        let word = u64::from_le_bytes(word.try_into().expect("8-byte chunk"));
+        h = h.rotate_left(CHECKSUM_ROTATION) ^ word;
+    }
+    let rest = words.remainder();
+    if !rest.is_empty() {
+        let mut last = [0u8; 8];
+        last[..rest.len()].copy_from_slice(rest);
+        h = h.rotate_left(CHECKSUM_ROTATION) ^ u64::from_le_bytes(last);
+    }
+    (h ^ (h >> 32)) as u32
+}
+
+/// Length of the payload of a frame showing `actors` actors (ego
+/// included).
+pub const fn frame_len(actors: usize) -> usize {
+    HEADER_LEN + actors * ACTOR_LEN
+}
 
 fn kind_tag(kind: ActorKind) -> u8 {
     match kind {
@@ -79,199 +131,112 @@ fn tag_kind(tag: u8) -> Result<ActorKind, CodecError> {
     })
 }
 
-fn fnv1a(bytes: &[u8]) -> u32 {
-    let mut hash: u32 = 0x811C_9DC5;
-    for &b in bytes {
-        hash ^= u32::from(b);
-        hash = hash.wrapping_mul(0x0100_0193);
+fn actor_record(a: &ActorSnapshot) -> [u8; ACTOR_LEN] {
+    let mut r = [0u8; ACTOR_LEN];
+    r[..4].copy_from_slice(&a.id.0.to_le_bytes());
+    r[4] = kind_tag(a.kind);
+    let fields = [
+        a.pose.position.x,
+        a.pose.position.y,
+        a.pose.heading.get(),
+        a.speed.get(),
+        a.length.get(),
+        a.width.get(),
+    ];
+    for (slot, v) in r[5..].chunks_exact_mut(8).zip(fields) {
+        slot.copy_from_slice(&v.to_bits().to_le_bytes());
     }
-    hash
+    r
 }
 
-fn put_f64(buf: &mut Vec<u8>, v: f64) {
-    buf.extend_from_slice(&v.to_bits().to_le_bytes());
+fn read_actor(r: &[u8; ACTOR_LEN]) -> Result<ActorSnapshot, CodecError> {
+    let f = |at: usize| {
+        f64::from_bits(u64::from_le_bytes(
+            r[at..at + 8].try_into().expect("8-byte field"),
+        ))
+    };
+    Ok(ActorSnapshot {
+        id: ActorId(u32::from_le_bytes([r[0], r[1], r[2], r[3]])),
+        kind: tag_kind(r[4])?,
+        pose: Pose2::new(Vec2::new(f(5), f(13)), Radians::new(f(21))),
+        speed: MetersPerSecond::new(f(29)),
+        length: Meters::new(f(37)),
+        width: Meters::new(f(45)),
+    })
 }
 
-fn write_actor(buf: &mut Vec<u8>, a: &ActorSnapshot) {
-    buf.extend_from_slice(&a.id.0.to_le_bytes());
-    buf.push(kind_tag(a.kind));
-    put_f64(buf, a.pose.position.x);
-    put_f64(buf, a.pose.position.y);
-    put_f64(buf, a.pose.heading.get());
-    put_f64(buf, a.speed.get());
-    put_f64(buf, a.length.get());
-    put_f64(buf, a.width.get());
-}
-
-/// Encodes a snapshot into a frame payload of at least `min_size` bytes
-/// (padded with zeros to emulate the size of a compressed video frame).
-pub fn encode_frame(snapshot: &WorldSnapshot, min_size: usize) -> Bytes {
-    let total = (HEADER_LEN + snapshot.actor_count() * ACTOR_LEN).max(min_size);
-    let mut out = Vec::with_capacity(total);
-    encode_frame_into(snapshot, min_size, &mut out);
-    Bytes::from(out)
-}
-
-/// Encodes a snapshot directly into `out` (cleared first), producing
-/// byte-for-byte the payload of [`encode_frame`]. Allocation-free when
-/// `out` has enough capacity — the body is written once with a
-/// checksum placeholder that is patched afterwards, instead of staging
-/// the body in a second buffer.
-pub fn encode_frame_into(snapshot: &WorldSnapshot, min_size: usize, out: &mut Vec<u8>) {
+/// Encodes a snapshot into `out` (cleared first). Allocation-free when
+/// `out` has [`frame_len`] of capacity: the body is written once with a
+/// checksum placeholder that is patched afterwards.
+pub fn encode_frame_into(snapshot: &WorldSnapshot, out: &mut Vec<u8>) {
     let n = snapshot.actor_count();
     out.clear();
+    out.reserve(frame_len(n));
     out.extend_from_slice(MAGIC);
     out.push(VERSION);
-    out.extend_from_slice(&[0u8; 4]); // checksum, patched below
-    let body_start = out.len();
+    out.extend_from_slice(&[0u8; 4]); // check, patched below
     out.extend_from_slice(&snapshot.frame_id.to_le_bytes());
     out.extend_from_slice(&snapshot.time.as_micros().to_le_bytes());
-    out.extend_from_slice(&(n as u16).to_le_bytes());
+    let count = u16::try_from(n).expect("a frame shows at most 65535 actors");
+    out.extend_from_slice(&count.to_le_bytes());
     out.push(u8::from(snapshot.ego.is_some()));
-    if let Some(ego) = &snapshot.ego {
-        write_actor(out, ego);
+    for a in snapshot.ego.iter().chain(&snapshot.others) {
+        out.extend_from_slice(&actor_record(a));
     }
-    for a in &snapshot.others {
-        write_actor(out, a);
-    }
-    let check = fnv1a(&out[body_start..]);
-    out[body_start - 4..body_start].copy_from_slice(&check.to_le_bytes());
-    let total = (HEADER_LEN + n * ACTOR_LEN).max(min_size);
-    out.resize(total, 0);
+    let check = wire_checksum(&out[CHECK.end..]);
+    out[CHECK].copy_from_slice(&check.to_le_bytes());
 }
 
 /// [`encode_frame_into`] a buffer checked out of `pool`, frozen into a
 /// [`Bytes`] payload. Steady state (the pool warm, slots sized for the
 /// frame) this performs zero heap allocations.
-pub fn encode_frame_pooled(snapshot: &WorldSnapshot, min_size: usize, pool: &BufPool) -> Bytes {
+pub fn encode_frame_pooled(snapshot: &WorldSnapshot, pool: &BufPool) -> Bytes {
     let mut buf = pool.checkout();
-    encode_frame_into(snapshot, min_size, buf.buf());
+    encode_frame_into(snapshot, buf.buf());
     buf.freeze()
 }
 
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], CodecError> {
-        let end = self.pos.checked_add(n).ok_or(CodecError::Truncated)?;
-        if end > self.buf.len() {
-            return Err(CodecError::Truncated);
-        }
-        let s = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> Result<u8, CodecError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u16(&mut self) -> Result<u16, CodecError> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().expect("len 2")))
-    }
-
-    fn u32(&mut self) -> Result<u32, CodecError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("len 4")))
-    }
-
-    fn u64(&mut self) -> Result<u64, CodecError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("len 8")))
-    }
-
-    fn f64(&mut self) -> Result<f64, CodecError> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-}
-
-fn read_actor(r: &mut Reader<'_>) -> Result<ActorSnapshot, CodecError> {
-    let id = ActorId(r.u32()?);
-    let kind = tag_kind(r.u8()?)?;
-    let x = r.f64()?;
-    let y = r.f64()?;
-    let heading = r.f64()?;
-    let speed = r.f64()?;
-    let length = r.f64()?;
-    let width = r.f64()?;
-    Ok(ActorSnapshot {
-        id,
-        kind,
-        pose: Pose2::new(Vec2::new(x, y), Radians::new(heading)),
-        speed: MetersPerSecond::new(speed),
-        length: Meters::new(length),
-        width: Meters::new(width),
-    })
-}
-
-/// Decodes a frame payload back into a snapshot.
-///
-/// # Errors
-///
-/// Returns [`CodecError`] if the payload is truncated, malformed, or fails
-/// its checksum (i.e. a corruption fault hit it in transit).
-pub fn decode_frame(payload: &[u8]) -> Result<WorldSnapshot, CodecError> {
-    let mut snapshot = WorldSnapshot {
-        time: SimTime::ZERO,
-        frame_id: 0,
-        ego: None,
-        others: Vec::new(),
-    };
-    decode_frame_into(payload, &mut snapshot)?;
-    Ok(snapshot)
-}
-
-/// Decodes a frame payload into an existing snapshot, reusing its
-/// `others` allocation. Allocation-free once the vector has capacity.
+/// Decodes a frame payload into `snapshot`, reusing its `others`
+/// allocation. Allocation-free once the vector has capacity.
 ///
 /// On error the snapshot's contents are unspecified (the caller is
 /// expected to treat it as scratch and refill it on the next frame).
 ///
 /// # Errors
 ///
-/// Same conditions as [`decode_frame`].
+/// Returns [`CodecError`] if the payload is truncated, malformed, or fails
+/// its checksum (i.e. a corruption fault hit it in transit).
 pub fn decode_frame_into(payload: &[u8], snapshot: &mut WorldSnapshot) -> Result<(), CodecError> {
-    let mut r = Reader {
-        buf: payload,
-        pos: 0,
-    };
-    if r.take(4)? != MAGIC {
+    let header: &[u8; HEADER_LEN] = payload.first_chunk().ok_or(CodecError::Truncated)?;
+    if header[..4] != MAGIC[..] || header[4] != VERSION {
         return Err(CodecError::BadHeader);
     }
-    if r.u8()? != VERSION {
-        return Err(CodecError::BadHeader);
+    let n = usize::from(u16::from_le_bytes([header[25], header[26]]));
+    if payload.len() != frame_len(n) {
+        return Err(CodecError::LengthMismatch);
     }
-    let check = r.u32()?;
-    let body_start = r.pos;
-
-    let frame_id = r.u64()?;
-    let time_us = r.u64()?;
-    let n = r.u16()? as usize;
-    let has_ego = r.u8()? != 0;
-    let body_len = 8 + 8 + 2 + 1 + n * ACTOR_LEN;
-    if payload.len() < body_start + body_len {
-        return Err(CodecError::Truncated);
-    }
-    if fnv1a(&payload[body_start..body_start + body_len]) != check {
+    let check = u32::from_le_bytes(header[CHECK].try_into().expect("4-byte field"));
+    if wire_checksum(&payload[CHECK.end..]) != check {
         return Err(CodecError::ChecksumMismatch);
     }
-
-    snapshot.ego = if has_ego {
-        if n == 0 {
-            return Err(CodecError::BadHeader);
-        }
-        Some(read_actor(&mut r)?)
-    } else {
-        None
-    };
-    let n_others = n - usize::from(has_ego);
-    snapshot.others.clear();
-    for _ in 0..n_others {
-        snapshot.others.push(read_actor(&mut r)?);
+    let has_ego = header[27] != 0;
+    if has_ego && n == 0 {
+        return Err(CodecError::BadHeader);
     }
-    snapshot.time = SimTime::from_micros(time_us);
-    snapshot.frame_id = frame_id;
+    let (records, _) = payload[HEADER_LEN..].as_chunks::<ACTOR_LEN>();
+    let (ego, others) = records.split_at(usize::from(has_ego));
+    snapshot.ego = match ego.first() {
+        Some(r) => Some(read_actor(r)?),
+        None => None,
+    };
+    snapshot.others.clear();
+    for r in others {
+        snapshot.others.push(read_actor(r)?);
+    }
+    snapshot.frame_id = u64::from_le_bytes(header[9..17].try_into().expect("8-byte field"));
+    snapshot.time = SimTime::from_micros(u64::from_le_bytes(
+        header[17..25].try_into().expect("8-byte field"),
+    ));
     Ok(())
 }
 
@@ -300,80 +265,109 @@ mod tests {
         }
     }
 
-    #[test]
-    fn roundtrip() {
-        let snap = sample_snapshot();
-        let bytes = encode_frame(&snap, 0);
-        let back = decode_frame(&bytes).unwrap();
-        assert_eq!(snap, back);
+    fn encode(snapshot: &WorldSnapshot) -> Vec<u8> {
+        let mut out = Vec::new();
+        encode_frame_into(snapshot, &mut out);
+        out
+    }
+
+    fn decode(payload: &[u8]) -> Result<WorldSnapshot, CodecError> {
+        let mut snapshot = WorldSnapshot::default();
+        decode_frame_into(payload, &mut snapshot)?;
+        Ok(snapshot)
     }
 
     #[test]
-    fn roundtrip_with_padding() {
+    fn roundtrip() {
         let snap = sample_snapshot();
-        let bytes = encode_frame(&snap, 20_000);
-        assert_eq!(bytes.len(), 20_000);
-        assert_eq!(decode_frame(&bytes).unwrap(), snap);
+        let bytes = encode(&snap);
+        assert_eq!(bytes.len(), frame_len(3));
+        assert_eq!(decode(&bytes).unwrap(), snap);
     }
 
     #[test]
     fn roundtrip_no_ego_no_actors() {
-        let snap = WorldSnapshot {
-            time: SimTime::ZERO,
-            frame_id: 0,
-            ego: None,
-            others: Vec::new(),
-        };
-        let bytes = encode_frame(&snap, 0);
-        assert_eq!(decode_frame(&bytes).unwrap(), snap);
+        let snap = WorldSnapshot::default();
+        let bytes = encode(&snap);
+        assert_eq!(bytes.len(), HEADER_LEN);
+        assert_eq!(decode(&bytes).unwrap(), snap);
     }
 
     #[test]
     fn detects_bit_flip_anywhere_in_body() {
-        let snap = sample_snapshot();
-        let bytes = encode_frame(&snap, 1000);
-        let mut owned = bytes.to_vec();
+        let mut bytes = encode(&sample_snapshot());
         // Flip a bit in an actor record (position field of actor 1).
-        owned[HEADER_LEN + ACTOR_LEN + 10] ^= 0x04;
-        assert_eq!(
-            decode_frame(&owned).unwrap_err(),
-            CodecError::ChecksumMismatch
-        );
+        bytes[HEADER_LEN + ACTOR_LEN + 10] ^= 0x04;
+        assert_eq!(decode(&bytes).unwrap_err(), CodecError::ChecksumMismatch);
     }
 
     #[test]
-    fn padding_corruption_is_harmless() {
-        // A bit flip in the padding does not invalidate the snapshot —
-        // matching real video where most corrupt bits only distort pixels.
-        let snap = sample_snapshot();
-        let bytes = encode_frame(&snap, 10_000);
-        let mut owned = bytes.to_vec();
-        owned[9_999] ^= 0x80;
-        assert_eq!(decode_frame(&owned).unwrap(), snap);
+    fn checksum_flips_one_result_bit_per_input_bit() {
+        // Exhaustive over short inputs of every length class mod 8.
+        for len in 0..=24usize {
+            let bytes: Vec<u8> = (0..len as u8).map(|i| i.wrapping_mul(37) ^ 0x5A).collect();
+            let base = wire_checksum(&bytes);
+            for bit in 0..len * 8 {
+                let mut flipped = bytes.clone();
+                flipped[bit / 8] ^= 1 << (bit % 8);
+                assert_eq!(
+                    (wire_checksum(&flipped) ^ base).count_ones(),
+                    1,
+                    "len {len}, bit {bit}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn checksum_is_pinned() {
+        // The wire format: a change here is a format change (bump VERSION).
+        assert_eq!(wire_checksum(&[]), 0);
+        assert_eq!(wire_checksum(&[1]), 1);
+        assert_eq!(wire_checksum(&1u64.to_le_bytes()), 1);
+        let two_words: Vec<u8> = [1u64, 0].iter().flat_map(|w| w.to_le_bytes()).collect();
+        assert_eq!(wire_checksum(&two_words), 1 << 23);
+        let nine: Vec<u8> = (1..=9).collect();
+        let h = 0x0807_0605_0403_0201u64.rotate_left(23) ^ 9;
+        assert_eq!(wire_checksum(&nine), (h ^ (h >> 32)) as u32);
     }
 
     #[test]
     fn rejects_garbage() {
-        assert_eq!(decode_frame(&[]).unwrap_err(), CodecError::Truncated);
-        assert_eq!(decode_frame(&[0u8; 64]).unwrap_err(), CodecError::BadHeader);
-        let mut bad_version = encode_frame(&sample_snapshot(), 0).to_vec();
-        bad_version[4] = 99;
+        assert_eq!(decode(&[]).unwrap_err(), CodecError::Truncated);
         assert_eq!(
-            decode_frame(&bad_version).unwrap_err(),
-            CodecError::BadHeader
+            decode(&[0u8; HEADER_LEN - 1]).unwrap_err(),
+            CodecError::Truncated
         );
+        assert_eq!(decode(&[0u8; 64]).unwrap_err(), CodecError::BadHeader);
+        let mut bad_version = encode(&sample_snapshot());
+        bad_version[4] = 1;
+        assert_eq!(decode(&bad_version).unwrap_err(), CodecError::BadHeader);
     }
 
     #[test]
-    fn rejects_truncated_actor_list() {
-        let bytes = encode_frame(&sample_snapshot(), 0);
+    fn rejects_a_length_other_than_the_actor_count_implies() {
+        let bytes = encode(&sample_snapshot());
         let cut = &bytes[..bytes.len() - 10];
-        assert_eq!(decode_frame(cut).unwrap_err(), CodecError::Truncated);
+        assert_eq!(decode(cut).unwrap_err(), CodecError::LengthMismatch);
+        let mut padded = bytes.clone();
+        padded.push(0);
+        assert_eq!(decode(&padded).unwrap_err(), CodecError::LengthMismatch);
+    }
+
+    #[test]
+    fn rejects_an_unknown_actor_kind_behind_a_valid_checksum() {
+        let mut bytes = encode(&sample_snapshot());
+        bytes[HEADER_LEN + 4] = 9;
+        let check = wire_checksum(&bytes[CHECK.end..]);
+        bytes[CHECK].copy_from_slice(&check.to_le_bytes());
+        assert_eq!(decode(&bytes).unwrap_err(), CodecError::BadActorKind(9));
     }
 
     #[test]
     fn error_display() {
         assert!(!CodecError::Truncated.to_string().is_empty());
+        assert!(!CodecError::LengthMismatch.to_string().is_empty());
         assert!(CodecError::BadActorKind(9).to_string().contains('9'));
     }
 
@@ -400,13 +394,12 @@ mod tests {
                 ego: None,
                 others,
             };
-            let bytes = encode_frame(&snap, 0);
-            prop_assert_eq!(decode_frame(&bytes).unwrap(), snap);
+            prop_assert_eq!(decode(&encode(&snap)).unwrap(), snap);
         }
 
         #[test]
         fn decode_never_panics_on_fuzz(data in proptest::collection::vec(proptest::num::u8::ANY, 0..300)) {
-            let _ = decode_frame(&data);
+            let _ = decode(&data);
         }
     }
 }

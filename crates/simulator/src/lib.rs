@@ -47,8 +47,7 @@ mod world;
 pub use actor::{Actor, ActorId, ActorKind, Behavior};
 pub use camera::{CameraConfig, CameraSensor, VideoFrame};
 pub use codec::{
-    decode_frame, decode_frame_into, encode_frame, encode_frame_into, encode_frame_pooled,
-    CodecError,
+    decode_frame_into, encode_frame_into, encode_frame_pooled, frame_len, wire_checksum, CodecError,
 };
 pub use sensors::{obb_overlap, CollisionEvent, LaneInvasionEvent};
 pub use snapshot::{ActorSnapshot, WorldSnapshot};

@@ -1,6 +1,6 @@
 //! The CARLA-style server facade: the "vehicle subsystem" plant.
 
-use crate::{CameraConfig, CameraSensor, VideoFrame, World, WorldSnapshot};
+use crate::{frame_len, CameraConfig, CameraSensor, VideoFrame, World, WorldSnapshot};
 use bytes::BufPool;
 use rdsim_math::RngStream;
 use rdsim_obs::Recorder;
@@ -28,8 +28,9 @@ pub struct SimulatorServer {
     /// Reused scene snapshot the camera encodes from — per-session
     /// scratch so steady-state captures never rebuild the actor list.
     snap_scratch: WorldSnapshot,
-    /// Pool backing frame payloads; slots sized to the configured frame
-    /// so even the first encode into a fresh slot does not regrow it.
+    /// Pool backing frame payloads; slots sized to the encoded scene of
+    /// the world's actors, so even the first encode into a fresh slot
+    /// does not regrow it.
     frame_pool: BufPool,
 }
 
@@ -45,6 +46,7 @@ impl SimulatorServer {
             world.ego_id().is_some(),
             "SimulatorServer requires a spawned ego vehicle"
         );
+        let frame_pool = BufPool::with_slot_capacity(frame_len(world.actors().len()));
         SimulatorServer {
             world,
             camera: CameraSensor::new(
@@ -55,13 +57,8 @@ impl SimulatorServer {
             last_command_at: None,
             commands_applied: 0,
             neutral_fallback_after: None,
-            snap_scratch: WorldSnapshot {
-                time: SimTime::ZERO,
-                frame_id: 0,
-                ego: None,
-                others: Vec::new(),
-            },
-            frame_pool: BufPool::with_slot_capacity(camera_config.frame_bytes),
+            snap_scratch: WorldSnapshot::default(),
+            frame_pool,
         }
     }
 
@@ -178,7 +175,7 @@ impl SimulatorServer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{decode_frame, ActorKind, Behavior};
+    use crate::{decode_frame_into, ActorKind, Behavior};
     use rdsim_roadnet::town05;
     use rdsim_units::{Hertz, MetersPerSecond};
     use rdsim_vehicle::VehicleSpec;
@@ -266,7 +263,8 @@ mod tests {
         // 2 s at 25 fps = 50 frames.
         assert!((48..=52).contains(&frames.len()), "{} frames", frames.len());
         // Frames decode and contain the scene.
-        let snap = decode_frame(&frames[10].payload).unwrap();
+        let mut snap = WorldSnapshot::default();
+        decode_frame_into(&frames[10].payload, &mut snap).unwrap();
         assert!(snap.ego.is_some());
         assert_eq!(snap.others.len(), 1);
         // Frame ids are monotone.
@@ -284,7 +282,7 @@ mod tests {
             srv.tick(DT);
             steps += 1;
         }
-        let events = srv.world_mut().drain_collisions();
+        let events: Vec<_> = srv.world_mut().drain_collisions().collect();
         assert_eq!(events.len(), 1);
         assert!(events[0].frame_id > 0, "event carries the camera frame id");
     }

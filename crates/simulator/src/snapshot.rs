@@ -35,7 +35,7 @@ impl ActorSnapshot {
 /// operator model "sees" whatever the most recently *delivered* frame
 /// contains — which is exactly how network delay and loss degrade the
 /// operator's situational awareness.
-#[derive(Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct WorldSnapshot {
     /// Capture time.
     pub time: SimTime,

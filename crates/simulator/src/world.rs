@@ -395,7 +395,6 @@ impl World {
         let ego_pose = ego.state().pose;
         let (ego_len, ego_wid) = (ego.spec().length(), ego.spec().width());
         let ego_speed = ego.state().speed;
-        let mut new_events = Vec::new();
         for other in &self.actors {
             if other.id() == ego_id {
                 continue;
@@ -409,7 +408,8 @@ impl World {
                 other.spec().width(),
             );
             if self.collision_tracker.update(ego_id, other.id(), touching) {
-                new_events.push(CollisionEvent {
+                self.collision_total += 1;
+                self.collisions.push(CollisionEvent {
                     time: self.time,
                     frame_id: self.frame_hint,
                     ego: ego_id,
@@ -420,8 +420,6 @@ impl World {
                 });
             }
         }
-        self.collision_total += new_events.len() as u64;
-        self.collisions.extend(new_events);
     }
 
     fn sense_lane_invasion(&mut self) {
@@ -481,14 +479,24 @@ impl World {
         self.lane_candidates = candidates;
     }
 
-    /// Collision events recorded since the last drain.
-    pub fn drain_collisions(&mut self) -> Vec<CollisionEvent> {
-        std::mem::take(&mut self.collisions)
+    /// Reserves the event buffers for one step's events: a lane invasion
+    /// and a collision with every other actor. A caller that drains them
+    /// every step then never grows them.
+    pub fn reserve_step_events(&mut self) {
+        self.collisions.reserve(self.actors.len().saturating_sub(1));
+        self.lane_invasions.reserve(1);
     }
 
-    /// Lane-invasion events recorded since the last drain.
-    pub fn drain_lane_invasions(&mut self) -> Vec<LaneInvasionEvent> {
-        std::mem::take(&mut self.lane_invasions)
+    /// Collision events recorded since the last drain. The world keeps
+    /// its buffer's capacity.
+    pub fn drain_collisions(&mut self) -> std::vec::Drain<'_, CollisionEvent> {
+        self.collisions.drain(..)
+    }
+
+    /// Lane-invasion events recorded since the last drain. The world
+    /// keeps its buffer's capacity.
+    pub fn drain_lane_invasions(&mut self) -> std::vec::Drain<'_, LaneInvasionEvent> {
+        self.lane_invasions.drain(..)
     }
 
     /// Total collisions since world creation.
@@ -748,7 +756,7 @@ mod tests {
             steps += 1;
         }
         assert_eq!(w.collision_count(), 1, "ego must hit the parked van");
-        let events = w.drain_collisions();
+        let events: Vec<_> = w.drain_collisions().collect();
         assert_eq!(events.len(), 1);
         assert_eq!(events[0].ego, ego);
         assert!(events[0].relative_speed.get() > 1.0);
@@ -757,7 +765,7 @@ mod tests {
             w.step(DT);
         }
         assert_eq!(w.collision_count(), 1);
-        assert!(w.drain_collisions().is_empty());
+        assert_eq!(w.drain_collisions().len(), 0);
     }
 
     #[test]
@@ -773,7 +781,7 @@ mod tests {
             w.lane_invasion_count() >= 1,
             "steering across the lane must log an invasion"
         );
-        let events = w.drain_lane_invasions();
+        let events: Vec<_> = w.drain_lane_invasions().collect();
         assert!(!events.is_empty());
         assert_eq!(events[0].actor, ego);
         // The tracked lane eventually re-anchors (ego ends up on some lane
