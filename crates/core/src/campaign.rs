@@ -2,14 +2,11 @@
 //! randomised fault schedules at points of interest.
 
 use crate::{PaperFault, RunLog};
-use rdsim_math::RngStream;
 use rdsim_netem::InjectionWindow;
-use rdsim_units::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Which run of the protocol a record belongs to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RunKind {
     /// Free driving in an empty town (3–5 minutes) to get familiar with
     /// the station.
@@ -31,7 +28,7 @@ impl fmt::Display for RunKind {
 }
 
 /// A fault chosen for one point of interest, with its injection window.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ScheduledFault {
     /// Which of the paper's five faults was drawn.
     pub fault: PaperFault,
@@ -39,37 +36,8 @@ pub struct ScheduledFault {
     pub window: InjectionWindow,
 }
 
-/// Draws a random fault for each point of interest, as the paper does:
-/// "the fault injection was done randomly … if a 5 ms delay was injected
-/// for one test subject, a 5 % packet loss might have been injected in the
-/// same scenario for another subject."
-///
-/// `points` are `(start, duration)` pairs; windows must not overlap
-/// (callers build them from disjoint scenario situations).
-///
-/// # Panics
-///
-/// Panics if two points overlap.
-pub fn random_schedule(
-    rng: &mut RngStream,
-    points: &[(SimTime, SimDuration)],
-) -> Vec<ScheduledFault> {
-    let mut schedule: Vec<ScheduledFault> = Vec::with_capacity(points.len());
-    for &(start, duration) in points {
-        let fault = *rng.choose(&PaperFault::ALL);
-        let window = InjectionWindow::new(start, duration, fault.config());
-        assert!(
-            schedule.iter().all(|s| !s.window.overlaps(&window)),
-            "fault points overlap at {start}"
-        );
-        schedule.push(ScheduledFault { fault, window });
-    }
-    schedule.sort_by_key(|s| s.window.start);
-    schedule
-}
-
 /// One completed run of the protocol, as analysed by the tables.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct RunRecord {
     /// The subject identifier ("T1" … "T12").
     pub subject: String,
@@ -120,6 +88,7 @@ impl RunRecord {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rdsim_units::{SimDuration, SimTime};
 
     fn points(n: usize) -> Vec<(SimTime, SimDuration)> {
         (0..n)
@@ -133,52 +102,16 @@ mod tests {
     }
 
     #[test]
-    fn schedule_covers_every_point() {
-        let mut rng = RngStream::from_seed(1).substream("sched");
-        let sched = random_schedule(&mut rng, &points(12));
-        assert_eq!(sched.len(), 12);
-        // Sorted and non-overlapping.
-        for w in sched.windows(2) {
-            assert!(w[0].window.end() <= w[1].window.start);
-        }
-    }
-
-    #[test]
-    fn schedule_uses_varied_faults() {
-        let mut rng = RngStream::from_seed(2).substream("sched");
-        let sched = random_schedule(&mut rng, &points(40));
-        let distinct: std::collections::HashSet<PaperFault> =
-            sched.iter().map(|s| s.fault).collect();
-        assert!(distinct.len() >= 4, "40 draws should hit ≥4 of 5 faults");
-    }
-
-    #[test]
-    fn schedule_is_deterministic_per_stream() {
-        let draw = || {
-            let mut rng = RngStream::from_seed(3).substream("subject-T5");
-            random_schedule(&mut rng, &points(10))
-                .iter()
-                .map(|s| s.fault)
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(draw(), draw());
-    }
-
-    #[test]
-    #[should_panic(expected = "overlap")]
-    fn overlapping_points_panic() {
-        let mut rng = RngStream::from_seed(4).substream("sched");
-        let pts = vec![
-            (SimTime::from_secs(10), SimDuration::from_secs(30)),
-            (SimTime::from_secs(20), SimDuration::from_secs(30)),
-        ];
-        let _ = random_schedule(&mut rng, &pts);
-    }
-
-    #[test]
     fn record_counting() {
-        let mut rng = RngStream::from_seed(5).substream("sched");
-        let sched = random_schedule(&mut rng, &points(20));
+        let sched: Vec<ScheduledFault> = points(20)
+            .into_iter()
+            .enumerate()
+            .map(|(i, (start, duration))| {
+                let fault = PaperFault::ALL[i % PaperFault::ALL.len()];
+                let window = InjectionWindow::new(start, duration, fault.config());
+                ScheduledFault { fault, window }
+            })
+            .collect();
         let rec = RunRecord::new("T5", RunKind::Faulty, RunLog::new(), sched);
         let total: usize = PaperFault::ALL.iter().map(|&f| rec.fault_count(f)).sum();
         assert_eq!(total, rec.total_faults());

@@ -2,11 +2,10 @@
 
 use rdsim_netem::NetemConfig;
 use rdsim_units::{Millis, Ratio};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The kind and magnitude of a communication fault.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum FaultKind {
     /// Fixed one-way delay.
     Delay(Millis),
@@ -43,7 +42,7 @@ impl fmt::Display for FaultKind {
 }
 
 /// A named fault: what the injection log and the result tables call it.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FaultSpec {
     /// Table label, e.g. `"5ms"` or `"2%"`.
     pub label: String,
@@ -64,7 +63,7 @@ impl FaultSpec {
 /// The five faults the paper selected "based on initial testing, with the
 /// purpose of exploring the limits of manoeuvrability" (§V.C), as a closed
 /// enum so tables can index columns by fault.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum PaperFault {
     /// 5 ms delay.
     Delay5ms,

@@ -4,11 +4,10 @@
 use rdsim_math::Vec2;
 use rdsim_simulator::{ActorSnapshot, WorldSnapshot};
 use rdsim_units::Meters;
-use serde::{Deserialize, Serialize};
 
 /// A roadside sensing unit: sees every actor within `range` of its
 /// position.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RoadsideUnit {
     /// Unit position.
     pub position: Vec2,
@@ -32,7 +31,7 @@ impl RoadsideUnit {
 /// observations are merged into the frames shown to the operator,
 /// "improving the environment perception by providing more sensor data
 /// from additional sources than the vehicle subsystem".
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct InfrastructureSubsystem {
     units: Vec<RoadsideUnit>,
     /// Vehicle-camera visibility radius around the ego; actors beyond it

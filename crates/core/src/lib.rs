@@ -53,7 +53,7 @@ pub mod safety;
 mod session;
 mod station;
 
-pub use campaign::{random_schedule, RunKind, RunRecord, ScheduledFault};
+pub use campaign::{RunKind, RunRecord, ScheduledFault};
 pub use digest::Digestible;
 pub use fault::{FaultKind, FaultSpec, PaperFault};
 pub use infrastructure::{InfrastructureSubsystem, RoadsideUnit};

@@ -5,11 +5,10 @@ use rdsim_math::Vec2;
 use rdsim_netem::InjectionEvent;
 use rdsim_simulator::{ActorId, CollisionEvent, LaneInvasionEvent};
 use rdsim_units::{Meters, MetersPerSecond, MetersPerSecond2, SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// The ego's view of its lead vehicle at a sample instant, captured so TTC
 /// can be computed offline exactly as the paper does.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LeadObservation {
     /// The lead vehicle's actor id.
     pub actor: ActorId,
@@ -21,7 +20,7 @@ pub struct LeadObservation {
 
 /// One ego-vehicle log sample: "timestamp, x, y, z, vx, vy, vz, ax, ay,
 /// az, throttle, steer, brake" (z components identically zero in 2-D).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EgoSample {
     /// Sample time.
     pub t: SimTime,
@@ -46,7 +45,7 @@ pub struct EgoSample {
 }
 
 /// One other-vehicle sample: "actor, timestamp, distance from ego, …".
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OtherSample {
     /// The observed actor.
     pub actor: ActorId,
@@ -63,7 +62,7 @@ pub struct OtherSample {
 }
 
 /// What kind of safety incident an [`IncidentMark`] flags.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IncidentKind {
     /// The ego collided with another actor.
     Collision,
@@ -88,7 +87,7 @@ impl IncidentKind {
 /// A timestamped safety-incident marker. The session emits one per
 /// collision, per TTC-threshold breach entry, and per fault-window edge;
 /// incident dumps window the flight recorder around these instants.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct IncidentMark {
     /// What happened.
     pub kind: IncidentKind,
@@ -99,14 +98,13 @@ pub struct IncidentMark {
 /// A complete run recording (§V.F): collisions, lane invasions, ego and
 /// other-vehicle trajectories, the fault-injection event log, and the
 /// session's incident marks.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct RunLog {
     ego: Vec<EgoSample>,
     others: Vec<OtherSample>,
     collisions: Vec<CollisionEvent>,
     lane_invasions: Vec<LaneInvasionEvent>,
     faults: Vec<InjectionEvent>,
-    #[serde(default)]
     incidents: Vec<IncidentMark>,
     duration: SimDuration,
 }

@@ -22,10 +22,9 @@
 
 use rdsim_units::{MetersPerSecond, Ratio, SimDuration, SimTime};
 use rdsim_vehicle::ControlInput;
-use serde::{Deserialize, Serialize};
 
 /// Link-quality estimate as observable from the vehicle subsystem.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QosEstimate {
     /// Time since the last valid command arrived (`None` before the first
     /// command).
@@ -49,7 +48,7 @@ impl QosEstimate {
 }
 
 /// A recorded intervention by a safety measure.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Intervention {
     /// When the measure (first) fired.
     pub time: SimTime,
@@ -76,7 +75,7 @@ pub trait SafetyMeasure: std::fmt::Debug + Send {
 
 /// Neutralises the controls when the command stream goes quiet: steering
 /// centred, pedals released. The mildest measure — the vehicle coasts.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CommandWatchdog {
     /// Command age beyond which the watchdog fires.
     pub timeout: SimDuration,
@@ -113,7 +112,7 @@ impl SafetyMeasure for CommandWatchdog {
 /// excess speed. Keeps the vehicle drivable in degraded mode, as remote
 /// operation guidelines (e.g. BSI PAS 1883-style ODD contraction)
 /// recommend.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DegradedModeLimiter {
     /// Loss level that triggers degraded mode.
     pub trigger_loss: Ratio,
@@ -166,7 +165,7 @@ impl SafetyMeasure for DegradedModeLimiter {
 
 /// Brings the vehicle to a controlled stop after prolonged link silence —
 /// the minimal-risk manoeuvre of last resort.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SafeStop {
     /// Command age beyond which the stop engages.
     pub timeout: SimDuration,

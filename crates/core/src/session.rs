@@ -20,7 +20,6 @@ use rdsim_netem::{
 use rdsim_obs::{Counter, Histogram, Recorder, Timeline, TraceId, TraceStage, Tracer};
 use rdsim_simulator::{ActorKind, CameraConfig, SimulatorServer, World};
 use rdsim_units::{Meters, SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -74,7 +73,7 @@ impl Default for RdsSessionConfig {
 /// tallies are [`rdsim_obs::Counter`]s held by the session (and shared with
 /// its recorder's registry, when one is attached); [`RdsSession::stats`]
 /// materialises them into this struct. The serialized shape is unchanged.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SessionStats {
     /// Video frames sent by the vehicle subsystem.
     pub frames_sent: u64,

@@ -8,7 +8,6 @@
 use rdsim_simulator::{CameraConfig, WorldSnapshot};
 use rdsim_units::{Hertz, SimDuration, SimTime};
 use rdsim_vehicle::ControlInput;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A frame as delivered to the driving station.
@@ -161,7 +160,7 @@ impl OperatorSubsystem for ScriptedOperator {
 /// Technical specification of a driving station, as Table I inventories
 /// the paper's rig. Behaviourally, only the video frame-rate band enters
 /// the simulation; the rest is faithfully recorded configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StationSpec {
     /// CPU and memory.
     pub cpu_and_ram: String,

@@ -34,7 +34,7 @@ static ALLOC: rdsim_obs::CountingAlloc = rdsim_obs::CountingAlloc;
 const WARMUP_STEPS: u64 = 350;
 const MEASURE_STEPS: u64 = 650;
 
-/// Every qdisc branch in one config (mirrors the `alloc` bench).
+/// Every qdisc branch in one config.
 fn stress_config() -> NetemConfig {
     NetemConfig::default()
         .with_jittered_delay(Millis::new(60.0), Millis::new(20.0), Ratio::new(0.25))
@@ -156,8 +156,7 @@ fn assert_steady_state_allocates_nothing(mut s: RdsSession) {
     }
     let spent = alloc_counts().since(start);
 
-    // Surface the measurement through the telemetry layer, same gauges
-    // as the alloc bench publishes.
+    // Surface the measurement through the telemetry layer.
     let registry = Registry::new();
     let recorder = registry.recorder();
     recorder

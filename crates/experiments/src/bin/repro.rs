@@ -13,8 +13,8 @@
 //!
 //! `--quick` shortens the runs (for smoke testing); the full study drives
 //! two laps of the course per run, as the experiments in `EXPERIMENTS.md`
-//! were recorded. `--jobs N` runs the campaign's 36 runs on N
-//! work-stealing worker threads (default: available parallelism);
+//! were recorded. `--jobs N` runs the campaign's 36 runs, and the §VIII
+//! sweep points, on N worker threads (default: available parallelism);
 //! `--batch N` hands the workers N runs per executor task, which a worker
 //! runs one after another (default: 1 for the roster study, 16 for
 //! `--campaign`; the chunk clamps to the jobs remaining). Results are
@@ -416,8 +416,8 @@ fn main() -> ExitCode {
                 print_fig4(study);
                 print_collisions(study);
                 print_questionnaire(study);
-                print_sweep(&validity_sweep(seed));
-                print_sweep(&model_vehicle_sweep(seed));
+                print_sweep(&validity_sweep(seed, jobs));
+                print_sweep(&model_vehicle_sweep(seed, jobs));
             }
             "table1" => print_table1(),
             "table2" => print_table2(study.as_ref().expect("study")),
@@ -426,8 +426,8 @@ fn main() -> ExitCode {
             "fig4" => print_fig4(study.as_ref().expect("study")),
             "collisions" => print_collisions(study.as_ref().expect("study")),
             "questionnaire" => print_questionnaire(study.as_ref().expect("study")),
-            "validity" => print_sweep(&validity_sweep(seed)),
-            "model-vehicle" => print_sweep(&model_vehicle_sweep(seed)),
+            "validity" => print_sweep(&validity_sweep(seed, jobs)),
+            "model-vehicle" => print_sweep(&model_vehicle_sweep(seed, jobs)),
             other => {
                 eprintln!("unknown command '{other}'");
                 return ExitCode::FAILURE;

@@ -1,6 +1,6 @@
-//! Work-stealing parallel job executor.
+//! Parallel job executor.
 //!
-//! [`execute_ordered`] runs a batch of independent jobs across worker
+//! [`execute_ordered`] runs a list of independent jobs across worker
 //! threads and returns results **in job order**, regardless of which
 //! worker finished which job when. Combined with the pure per-run seed
 //! derivation in [`crate::seeds`], this makes parallel campaign execution
@@ -8,14 +8,12 @@
 //! job *outputs* are re-ordered back to the deterministic submission order
 //! before anything aggregates them.
 //!
-//! Scheduling is the classic crossbeam-deque topology: a global FIFO
-//! [`Injector`] seeded with every job, one local [`Worker`] queue per
-//! thread, and [`Stealer`] handles so idle workers first drain the
-//! injector in batches and then steal from busy siblings. A worker retires
-//! when its own queue, the injector and every sibling queue are empty.
+//! Every call knows all of its jobs up front, so the whole schedule is one
+//! shared cursor over the chunk list: each worker takes the next chunk
+//! until none are left.
 
-use crossbeam::deque::{Injector, Steal, Stealer, Worker};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 use std::time::Instant;
 
 /// The default worker count: the machine's available parallelism
@@ -26,114 +24,8 @@ pub fn default_jobs() -> usize {
         .unwrap_or(1)
 }
 
-/// Runs every job on `workers` threads and returns the results in the
-/// order the jobs were given.
-///
-/// `workers` is clamped to `1..=jobs.len()`; with one worker the jobs run
-/// serially on the calling thread (no spawn overhead, same results).
-///
-/// # Panics
-///
-/// Panics if a job panics (the panic is propagated after all workers have
-/// been joined).
-pub fn execute_ordered<J, R, F>(jobs: Vec<J>, workers: usize, run: F) -> Vec<R>
-where
-    J: Send,
-    R: Send,
-    F: Fn(J) -> R + Sync,
-{
-    let n = jobs.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    let workers = workers.clamp(1, n);
-    if workers == 1 {
-        return jobs.into_iter().map(run).collect();
-    }
-
-    let injector: Injector<(usize, J)> = Injector::new();
-    for job in jobs.into_iter().enumerate() {
-        injector.push(job);
-    }
-    let locals: Vec<Worker<(usize, J)>> = (0..workers).map(|_| Worker::new_fifo()).collect();
-    let stealers: Vec<Stealer<(usize, J)>> = locals.iter().map(Worker::stealer).collect();
-
-    let mut indexed: Vec<(usize, R)> = crossbeam::thread::scope(|scope| {
-        let handles: Vec<_> = locals
-            .into_iter()
-            .enumerate()
-            .map(|(me, local)| {
-                let injector = &injector;
-                let stealers = stealers.as_slice();
-                let run = &run;
-                scope.spawn(move |_| {
-                    let mut done: Vec<(usize, R)> = Vec::new();
-                    while let Some((index, job)) = find_task(&local, injector, stealers, me) {
-                        done.push((index, run(job)));
-                    }
-                    done
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("executor worker panicked"))
-            .collect()
-    })
-    .expect("executor scope");
-
-    debug_assert_eq!(indexed.len(), n, "every job must produce a result");
-    indexed.sort_unstable_by_key(|(index, _)| *index);
-    indexed.into_iter().map(|(_, result)| result).collect()
-}
-
-/// Runs jobs in chunks of `batch` across `workers` threads and returns
-/// results in job order.
-///
-/// Jobs are chunked in submission order into groups of at most `batch`
-/// (the tail chunk — and therefore the batch size — clamps to the jobs
-/// remaining), each chunk becomes one executor task, and `run_batch` maps
-/// a chunk to its results, one per job, in chunk order. With `batch <= 1`
-/// this degenerates to [`execute_ordered`] semantics: one job per task.
-///
-/// # Panics
-///
-/// Panics if `run_batch` returns a different number of results than jobs
-/// it was given.
-pub fn execute_ordered_batched<J, R, F>(
-    jobs: Vec<J>,
-    workers: usize,
-    batch: usize,
-    run_batch: F,
-) -> Vec<R>
-where
-    J: Send,
-    R: Send,
-    F: Fn(Vec<J>) -> Vec<R> + Sync,
-{
-    let batch = batch.max(1);
-    let mut chunks: Vec<Vec<J>> = Vec::new();
-    let mut jobs = jobs.into_iter();
-    loop {
-        let chunk: Vec<J> = jobs.by_ref().take(batch).collect();
-        if chunk.is_empty() {
-            break;
-        }
-        chunks.push(chunk);
-    }
-    execute_ordered(chunks, workers, |chunk| {
-        let n = chunk.len();
-        let results = run_batch(chunk);
-        assert_eq!(results.len(), n, "run_batch must return one result per job");
-        results
-    })
-    .into_iter()
-    .flatten()
-    .collect()
-}
-
-/// What the completion hook of [`execute_ordered_batched_with`] learns
-/// when a worker finishes one chunk.
+/// What the completion hook of [`execute_ordered`] learns when a worker
+/// finishes one chunk.
 ///
 /// Everything here describes *scheduling*, not run content: which worker
 /// finished which chunk when, how much wall time it took, and how deep
@@ -156,20 +48,31 @@ pub struct ChunkDone<'a, R> {
     pub busy_ns: u64,
 }
 
-/// [`execute_ordered_batched`] plus a completion hook: `on_chunk` fires
-/// on the *worker thread* right after each chunk finishes, in completion
-/// order (not submission order — that is the point: it is the streaming
-/// side channel the campaign observatory folds summaries through while
-/// the ordered result vector is still being assembled).
+/// Runs jobs in chunks of `batch` on `workers` threads and returns the
+/// results in the order the jobs were given.
 ///
-/// The hook must be `Sync`; it runs concurrently from every worker.
-/// Results are still returned in job order, bit-identical to
-/// [`execute_ordered_batched`] — the hook observes, it cannot reorder.
-pub fn execute_ordered_batched_with<J, R, F, H>(
+/// Jobs are chunked in submission order into groups of `batch` (the tail
+/// chunk clamps to the jobs remaining; `batch` 0 counts as 1), and
+/// `run_chunk` maps a chunk to its results, one per job, in chunk order.
+/// `workers` is clamped to `1..=chunks`; one worker runs every chunk on the
+/// calling thread without a spawn, more run under [`std::thread::scope`].
+///
+/// `on_chunk` fires on the worker thread right after each chunk finishes,
+/// in completion order (not submission order — it is the streaming side
+/// channel the campaign observatory folds summaries through while the
+/// ordered result vector is still being assembled). It observes; it cannot
+/// reorder. Callers with nothing to observe pass `|_| {}`.
+///
+/// # Panics
+///
+/// A panic in `run_chunk` or `on_chunk` reaches the caller with its own
+/// payload, after every worker has stopped. Panics if `run_chunk` returns
+/// a different number of results than jobs it was given.
+pub fn execute_ordered<J, R, F, H>(
     jobs: Vec<J>,
     workers: usize,
     batch: usize,
-    run_batch: F,
+    run_chunk: F,
     on_chunk: H,
 ) -> Vec<R>
 where
@@ -193,12 +96,12 @@ where
         return Vec::new();
     }
     let completed = AtomicUsize::new(0);
-    let run_chunk = |worker: usize, index: usize, chunk: Vec<J>| -> Vec<R> {
+    let run = |worker: usize, index: usize, chunk: Vec<J>| -> Vec<R> {
         let n = chunk.len();
         let started = Instant::now();
-        let results = run_batch(chunk);
+        let results = run_chunk(chunk);
         let busy_ns = started.elapsed().as_nanos() as u64;
-        assert_eq!(results.len(), n, "run_batch must return one result per job");
+        assert_eq!(results.len(), n, "run_chunk must return one result per job");
         let done = completed.fetch_add(1, Ordering::Relaxed) + 1;
         on_chunk(ChunkDone {
             worker,
@@ -215,40 +118,44 @@ where
         return chunks
             .into_iter()
             .enumerate()
-            .flat_map(|(index, chunk)| run_chunk(0, index, chunk))
+            .flat_map(|(index, chunk)| run(0, index, chunk))
             .collect();
     }
 
-    let injector: Injector<(usize, Vec<J>)> = Injector::new();
-    for chunk in chunks.into_iter().enumerate() {
-        injector.push(chunk);
-    }
-    let locals: Vec<Worker<(usize, Vec<J>)>> = (0..workers).map(|_| Worker::new_fifo()).collect();
-    let stealers: Vec<Stealer<(usize, Vec<J>)>> = locals.iter().map(Worker::stealer).collect();
-
-    let mut indexed: Vec<(usize, Vec<R>)> = crossbeam::thread::scope(|scope| {
-        let handles: Vec<_> = locals
-            .into_iter()
-            .enumerate()
-            .map(|(me, local)| {
-                let injector = &injector;
-                let stealers = stealers.as_slice();
-                let run_chunk = &run_chunk;
-                scope.spawn(move |_| {
+    let cursor = Mutex::new(chunks.into_iter().enumerate());
+    let mut indexed: Vec<(usize, Vec<R>)> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers)
+            .map(|worker| {
+                let (cursor, run) = (&cursor, &run);
+                scope.spawn(move || {
                     let mut done: Vec<(usize, Vec<R>)> = Vec::new();
-                    while let Some((index, chunk)) = find_task(&local, injector, stealers, me) {
-                        done.push((index, run_chunk(me, index, chunk)));
+                    loop {
+                        // The guard drops before the chunk runs, so a
+                        // panicking job cannot poison the cursor.
+                        let next = cursor.lock().expect("chunk cursor lock").next();
+                        let Some((index, chunk)) = next else {
+                            return done;
+                        };
+                        done.push((index, run(worker, index, chunk)));
                     }
-                    done
                 })
             })
             .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("executor worker panicked"))
-            .collect()
-    })
-    .expect("executor scope");
+        let mut indexed = Vec::with_capacity(total);
+        let mut panicked = None;
+        for handle in handles {
+            match handle.join() {
+                Ok(done) => indexed.extend(done),
+                Err(payload) => {
+                    panicked.get_or_insert(payload);
+                }
+            }
+        }
+        if let Some(payload) = panicked {
+            std::panic::resume_unwind(payload);
+        }
+        indexed
+    });
 
     debug_assert_eq!(indexed.len(), total, "every chunk must produce results");
     indexed.sort_unstable_by_key(|(index, _)| *index);
@@ -258,42 +165,26 @@ where
         .collect()
 }
 
-/// One scheduling round: local queue first, then a batch from the global
-/// injector, then a steal from any sibling. `None` means no work was
-/// visible anywhere — the worker retires (jobs still *executing* on other
-/// workers produce their own results).
-fn find_task<T>(
-    local: &Worker<T>,
-    injector: &Injector<T>,
-    stealers: &[Stealer<T>],
-    me: usize,
-) -> Option<T> {
-    local.pop().or_else(|| {
-        std::iter::repeat_with(|| {
-            injector.steal_batch_and_pop(local).or_else(|| {
-                stealers
-                    .iter()
-                    .enumerate()
-                    .filter(|(other, _)| *other != me)
-                    .map(|(_, stealer)| stealer.steal())
-                    .collect::<Steal<T>>()
-            })
-        })
-        .find(|attempt| !attempt.is_retry())
-        .and_then(Steal::success)
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
+
+    /// One job per chunk, no hook: `f` applied to every job.
+    fn each<J: Send, R: Send>(jobs: Vec<J>, workers: usize, f: impl Fn(J) -> R + Sync) -> Vec<R> {
+        execute_ordered(
+            jobs,
+            workers,
+            1,
+            |chunk| chunk.into_iter().map(&f).collect(),
+            |_| {},
+        )
+    }
 
     #[test]
     fn results_come_back_in_job_order() {
         let jobs: Vec<u64> = (0..100).collect();
         for workers in [1, 2, 4, 7] {
-            let results = execute_ordered(jobs.clone(), workers, |j| j * 3);
+            let results = each(jobs.clone(), workers, |j| j * 3);
             assert_eq!(
                 results,
                 (0..100).map(|j| j * 3).collect::<Vec<u64>>(),
@@ -305,7 +196,7 @@ mod tests {
     #[test]
     fn every_job_runs_exactly_once() {
         let counter = AtomicUsize::new(0);
-        let results = execute_ordered((0..257).collect::<Vec<usize>>(), 4, |j| {
+        let results = each((0..257).collect::<Vec<usize>>(), 4, |j| {
             counter.fetch_add(1, Ordering::Relaxed);
             j
         });
@@ -317,7 +208,7 @@ mod tests {
     fn uneven_job_costs_still_produce_ordered_results() {
         // Early jobs sleep so late jobs finish first: completion order is
         // roughly reversed, output order must not be.
-        let results = execute_ordered((0..16u64).collect::<Vec<_>>(), 4, |j| {
+        let results = each((0..16u64).collect::<Vec<_>>(), 4, |j| {
             if j < 4 {
                 std::thread::sleep(std::time::Duration::from_millis(20));
             }
@@ -328,9 +219,9 @@ mod tests {
 
     #[test]
     fn empty_and_single_job_edge_cases() {
-        let none: Vec<u32> = execute_ordered(Vec::<u32>::new(), 8, |j| j);
+        let none: Vec<u32> = each(Vec::<u32>::new(), 8, |j| j);
         assert!(none.is_empty());
-        assert_eq!(execute_ordered(vec![5u32], 8, |j| j + 1), vec![6]);
+        assert_eq!(each(vec![5u32], 8, |j| j + 1), vec![6]);
     }
 
     #[test]
@@ -345,9 +236,13 @@ mod tests {
         // Batch sizes that divide, don't divide, exceed, and degenerate.
         for batch in [0, 1, 2, 4, 5, 37, 100] {
             for workers in [1, 3] {
-                let got = execute_ordered_batched(jobs.clone(), workers, batch, |chunk| {
-                    chunk.into_iter().map(|j| j * 7).collect()
-                });
+                let got = execute_ordered(
+                    jobs.clone(),
+                    workers,
+                    batch,
+                    |chunk| chunk.into_iter().map(|j| j * 7).collect(),
+                    |_| {},
+                );
                 assert_eq!(got, expect, "batch {batch}, workers {workers}");
             }
         }
@@ -356,38 +251,65 @@ mod tests {
     #[test]
     fn batch_clamps_to_remaining_jobs() {
         // 5 jobs at batch 4 → chunks of 4 and 1; at batch 100 → one chunk
-        // of all 5. The chunk shapes are observable through run_batch.
-        let shapes = std::sync::Mutex::new(Vec::new());
-        let _ = execute_ordered_batched((0..5).collect::<Vec<u32>>(), 1, 4, |chunk| {
-            shapes.lock().unwrap().push(chunk.len());
-            chunk
-        });
-        assert_eq!(*shapes.lock().unwrap(), vec![4, 1]);
-        let shapes = std::sync::Mutex::new(Vec::new());
-        let _ = execute_ordered_batched((0..5).collect::<Vec<u32>>(), 1, 100, |chunk| {
-            shapes.lock().unwrap().push(chunk.len());
-            chunk
-        });
-        assert_eq!(*shapes.lock().unwrap(), vec![5]);
+        // of all 5. The chunk shapes are observable through run_chunk.
+        for (batch, expect) in [(4, vec![4, 1]), (100, vec![5])] {
+            let shapes = Mutex::new(Vec::new());
+            let _ = execute_ordered(
+                (0..5).collect::<Vec<u32>>(),
+                1,
+                batch,
+                |chunk| {
+                    shapes.lock().unwrap().push(chunk.len());
+                    chunk
+                },
+                |_| {},
+            );
+            assert_eq!(shapes.into_inner().unwrap(), expect, "batch {batch}");
+        }
     }
 
     #[test]
     #[should_panic(expected = "one result per job")]
     fn short_batch_results_panic() {
-        let _ = execute_ordered_batched(vec![1u32, 2, 3], 1, 2, |mut chunk| {
-            chunk.pop();
-            chunk
-        });
+        let _ = execute_ordered(
+            vec![1u32, 2, 3],
+            1,
+            2,
+            |mut chunk| {
+                chunk.pop();
+                chunk
+            },
+            |_| {},
+        );
+    }
+
+    #[test]
+    fn a_job_panic_reaches_the_caller_with_its_payload() {
+        for workers in [1, 3] {
+            let caught = std::panic::catch_unwind(|| {
+                each((0..12u32).collect::<Vec<_>>(), workers, |j| {
+                    if j == 5 {
+                        panic!("job {j} failed");
+                    }
+                    j
+                })
+            });
+            let payload = caught.expect_err("the job's panic must propagate");
+            assert_eq!(
+                payload.downcast_ref::<String>().map(String::as_str),
+                Some("job 5 failed"),
+                "workers {workers}"
+            );
+        }
     }
 
     #[test]
     fn hook_fires_once_per_chunk_with_sane_fields() {
-        use std::sync::Mutex;
         let jobs: Vec<u64> = (0..23).collect();
         let expect: Vec<u64> = jobs.iter().map(|j| j + 100).collect();
         for workers in [1, 4] {
             let seen: Mutex<Vec<(usize, usize, usize, usize)>> = Mutex::new(Vec::new());
-            let got = execute_ordered_batched_with(
+            let got = execute_ordered(
                 jobs.clone(),
                 workers,
                 5,
@@ -421,9 +343,8 @@ mod tests {
 
     #[test]
     fn hook_sees_results_the_caller_gets() {
-        use std::sync::Mutex;
         let streamed: Mutex<Vec<u64>> = Mutex::new(Vec::new());
-        let got = execute_ordered_batched_with(
+        let got = execute_ordered(
             (0..17u64).collect::<Vec<_>>(),
             3,
             4,
@@ -444,7 +365,7 @@ mod tests {
     #[test]
     fn hooked_empty_input_is_a_no_op() {
         let calls = AtomicUsize::new(0);
-        let got: Vec<u32> = execute_ordered_batched_with(
+        let got: Vec<u32> = execute_ordered(
             Vec::<u32>::new(),
             4,
             8,

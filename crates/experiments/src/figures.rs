@@ -2,11 +2,10 @@
 
 use crate::StudyResults;
 use rdsim_metrics::SteeringProfile;
-use serde::{Deserialize, Serialize};
 
 /// The two profiles of Fig. 4 plus the traversal-time comparison the
 /// paper highlights ("19 s in the golden run … 33 s in the faulty run").
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Figure4 {
     /// Which subject the figure shows.
     pub subject: String,
@@ -73,7 +72,7 @@ mod tests {
     use rdsim_core::RunKind;
 
     /// Builds a minimal one-subject study (avoids the full 12-subject
-    /// campaign; that path is covered by the study tests and the benches).
+    /// campaign; that path is covered by the study tests and `repro`).
     fn mini_study() -> StudyResults {
         let roster = paper_roster();
         let profile = roster

@@ -35,9 +35,7 @@ mod tables;
 mod validity;
 
 pub use digest::{campaign_digest, record_digest, run_digest, store_digest};
-pub use executor::{
-    default_jobs, execute_ordered, execute_ordered_batched, execute_ordered_batched_with, ChunkDone,
-};
+pub use executor::{default_jobs, execute_ordered, ChunkDone};
 pub use figures::{figure4, Figure4};
 pub use observatory::{
     fault_condition, kind_slug, load_checkpoint, run_campaign, summarize_run, CampaignOptions,
@@ -57,8 +55,8 @@ pub use seeds::{run_seed, synthetic_run_seed, synthetic_subject_seed};
 // Table I generator is an experiments-layer artifact.
 pub use rdsim_core::StationSpec;
 pub use study::{
-    collision_summary, questionnaire_summary, run_study, run_study_with_exec, run_study_with_jobs,
-    table2, table3, table4, RunTrace, StudyResults, Table2Row, Table3Row, Table4Row,
+    collision_summary, questionnaire_summary, run_study_with_exec, table2, table3, table4,
+    RunTrace, StudyResults, Table2Row, Table3Row, Table4Row,
 };
 pub use tables::TextTable;
 pub use validity::{model_vehicle_sweep, validity_sweep, Drivability, SweepPoint, SweepReport};

@@ -23,7 +23,7 @@
 //! [`RunRecord`]: rdsim_core::RunRecord
 
 use crate::digest::run_digest;
-use crate::executor::{execute_ordered_batched_with, ChunkDone};
+use crate::executor::{execute_ordered, ChunkDone};
 use crate::study::{assemble_study, run_cell, study_job_list, training_config};
 use crate::{paper_roster, RunOutput, ScenarioConfig, StudyResults};
 use rdsim_core::{PaperFault, RunKind, ScheduledFault};
@@ -381,7 +381,7 @@ pub struct CampaignOutcome {
     pub resumed: usize,
 }
 
-/// Runs the study campaign through the observatory: work-stealing
+/// Runs the study campaign through the observatory: parallel
 /// execution with per-run streaming into the [`CampaignStore`], optional
 /// JSONL checkpointing, optional resume, and optional live progress.
 ///
@@ -440,7 +440,7 @@ pub fn run_campaign(opts: &CampaignOptions) -> Result<CampaignOutcome, String> {
 
     let training_cfg = training_config(&opts.config);
     let remaining_jobs = remaining.clone();
-    let outputs: Vec<RunOutput> = execute_ordered_batched_with(
+    let outputs: Vec<RunOutput> = execute_ordered(
         remaining_jobs,
         opts.jobs,
         batch,

@@ -9,10 +9,9 @@
 //! as flags so the analysis reproduces the "x"/"-" cells of the tables.
 
 use rdsim_operator::{Experience, Familiarity, Handedness, SubjectProfile};
-use serde::{Deserialize, Serialize};
 
 /// One subject in the study.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RosterEntry {
     /// The subject's profile (identity + traits).
     pub profile: SubjectProfile,

@@ -18,7 +18,6 @@ use rdsim_roadnet::town05;
 use rdsim_simulator::{ActorId, ActorKind, Behavior, CameraConfig, LaneFollowConfig, World};
 use rdsim_units::{MetersPerSecond, SimDuration, SimTime};
 use rdsim_vehicle::VehicleSpec;
-use serde::{Deserialize, Serialize};
 
 /// Configuration of a scenario run.
 #[derive(Debug, Clone)]
@@ -122,7 +121,7 @@ impl ScenarioConfig {
 
 /// The outcome of one run: the analysable record plus the operator-side
 /// feed-quality statistics the questionnaire model consumes.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RunOutput {
     /// The run record (log + schedule).
     pub record: RunRecord,
@@ -136,23 +135,19 @@ pub struct RunOutput {
     pub progress: f64,
     /// Per-run telemetry; empty unless [`ScenarioConfig::telemetry`] was
     /// set. Serializes to JSON via [`RunTelemetry::to_json`].
-    #[serde(default)]
     pub telemetry: RunTelemetry,
     /// The flight-recorder snapshot; empty unless [`ScenarioConfig::trace`]
     /// was set. Exports to Perfetto via [`TraceLog::to_chrome_json`].
-    #[serde(default)]
     pub trace: TraceLog,
     /// The per-window safety timeline; empty unless
     /// [`ScenarioConfig::timeline`] was set. Serializes deterministically
     /// via [`Timeline::to_json`].
-    #[serde(default)]
     pub timeline: Timeline,
     /// The `trace:<label>` condition of the replayed measurement, when the
     /// run was driven by [`ScenarioConfig::ambient_trace`]. Folded into
     /// [`crate::run_digest`] (the trace's *content* already reaches the
     /// digest through the logged injection events; this pins its identity)
     /// and registered as a campaign store cell.
-    #[serde(default)]
     pub trace_condition: Option<String>,
 }
 

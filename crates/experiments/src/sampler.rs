@@ -32,7 +32,7 @@
 //! planned them* (never folded ahead of their barrier), so a resumed
 //! campaign re-derives the same decision log and executes only the tail.
 
-use crate::executor::{execute_ordered_batched_with, ChunkDone};
+use crate::executor::{execute_ordered, ChunkDone};
 use crate::observatory::{
     fault_condition, load_checkpoint_summaries, open_checkpoint_writer, summarize_run, SCENARIO,
 };
@@ -493,7 +493,7 @@ pub fn run_population_campaign(opts: &PopulationOptions) -> Result<PopulationOut
         if !to_run.is_empty() {
             let store_mx = Mutex::new(std::mem::take(&mut store));
             let exec_jobs = to_run.clone();
-            let outputs: Vec<RunOutput> = execute_ordered_batched_with(
+            let outputs: Vec<RunOutput> = execute_ordered(
                 to_run.clone(),
                 opts.jobs,
                 batch,

@@ -16,7 +16,6 @@
 use rdsim_core::PaperFault;
 use rdsim_math::Vec2;
 use rdsim_roadnet::{LaneId, LaneProjection, RoadNetwork};
-use serde::{Deserialize, Serialize};
 
 /// Maps world positions to progress along the ring's lane chains.
 #[derive(Debug, Clone)]
@@ -150,10 +149,9 @@ fn on_chain(chain: &[LaneId], column: Option<LaneProjection>) -> Option<LaneProj
 }
 
 /// A point of interest where a fault may be injected: a chain-s window.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultPoint {
     /// Label for logs ("following-1", "lane-change-in", …).
-    #[serde(skip, default = "default_point_name")]
     pub name: &'static str,
     /// Window start (chain s, metres).
     pub from: f64,
@@ -161,16 +159,8 @@ pub struct FaultPoint {
     pub to: f64,
 }
 
-// Referenced via `#[serde(default = "default_point_name")]`; the vendored
-// no-op serde derive never expands that attribute, so the function looks
-// dead until the real serde is restored.
-#[allow(dead_code)]
-fn default_point_name() -> &'static str {
-    "point"
-}
-
 /// The course plan: scenario zones and fault points.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioPlan {
     /// Slalom zone (drive the inner lane past the parked vans).
     pub slalom: (f64, f64),

@@ -7,7 +7,7 @@
 //! noise, netem decisions) is fixed before any thread is spawned, so the
 //! order in which workers pick jobs cannot perturb any run.
 //!
-//! The derivation is the one `run_study` has always used (hash the subject
+//! The derivation is the one the study has always used (hash the subject
 //! id into the campaign seed via [`RngStream::substream`] — which mixes
 //! into the parent's *seed*, not its generator state — then XOR a
 //! kind-specific salt), factored out here so tests, the executor and the
@@ -86,7 +86,7 @@ mod tests {
 
     #[test]
     fn matches_the_historical_serial_derivation() {
-        // The exact expression run_study used before the executor existed.
+        // The exact expression the study used before the executor existed.
         let legacy = RngStream::from_seed(424242).substream("T5").seed();
         assert_eq!(subject_seed(424242, "T5"), legacy);
         assert_eq!(run_seed(424242, "T5", RunKind::Training), legacy ^ 0x7261);

@@ -1,7 +1,7 @@
 //! The full study: 12 subjects × (training, golden, faulty), with the
 //! paper's exclusions and recording artifacts, plus the table generators.
 
-use crate::executor::{default_jobs, execute_ordered_batched};
+use crate::executor::execute_ordered;
 use crate::seeds::run_seed;
 use crate::{paper_roster, run_protocol, RosterEntry, RunOutput, ScenarioConfig};
 use rdsim_core::{IncidentMark, PaperFault, RunKind, RunRecord};
@@ -12,10 +12,9 @@ use rdsim_metrics::{
 };
 use rdsim_obs::{RunTelemetry, Timeline, TraceLog};
 use rdsim_operator::{Questionnaire, QuestionnaireSummary};
-use serde::{Deserialize, Serialize};
 
 /// Everything the analysis sections consume.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct StudyResults {
     /// The roster (including the excluded T7).
     pub roster: Vec<RosterEntry>,
@@ -26,17 +25,15 @@ pub struct StudyResults {
     /// Campaign-wide telemetry: every run's [`RunTelemetry`] folded
     /// together (counters add, histograms merge). Empty unless the study
     /// ran with [`ScenarioConfig::telemetry`] enabled.
-    #[serde(default)]
     pub telemetry: RunTelemetry,
     /// Per-run flight-recorder snapshots (golden + faulty per subject).
     /// Empty unless the study ran with [`ScenarioConfig::trace`] or
     /// [`ScenarioConfig::timeline`] enabled.
-    #[serde(default)]
     pub traces: Vec<RunTrace>,
 }
 
 /// One run's retained trace, keyed for export file names.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct RunTrace {
     /// Subject id (e.g. `T5`).
     pub subject: String,
@@ -49,7 +46,6 @@ pub struct RunTrace {
     pub incidents: Vec<IncidentMark>,
     /// The run's per-window safety timeline; empty unless the study ran
     /// with [`ScenarioConfig::timeline`] enabled.
-    #[serde(default)]
     pub timeline: Timeline,
 }
 
@@ -197,20 +193,13 @@ pub(crate) fn assemble_study(
     }
 }
 
-/// Runs the whole study with the default worker count (the machine's
-/// available parallelism). All randomness derives from `seed`, so results
-/// are reproducible — and identical for any worker count (see
-/// [`run_study_with_jobs`]).
-pub fn run_study(seed: u64, config: &ScenarioConfig) -> StudyResults {
-    run_study_with_jobs(seed, config, default_jobs())
-}
-
-/// Runs the whole study on `jobs` worker threads.
+/// Runs the whole study on `jobs` worker threads, `batch` runs per
+/// executor task; a task runs its chunk one session after another.
 ///
 /// The roster × kind matrix is sharded into one job per run (12 subjects ×
-/// {training, golden, faulty} = 36 jobs) and dispatched through the
-/// work-stealing executor. Two properties make the result independent of
-/// `jobs` and of scheduling order, bit for bit:
+/// {training, golden, faulty} = 36 jobs) and dispatched through
+/// [`execute_ordered`]. Two properties make the result independent of
+/// `jobs`, `batch` and scheduling order, bit for bit:
 ///
 /// * every run's seed is a pure function of the campaign seed, subject id
 ///   and kind ([`crate::seeds::run_seed`]) — no run's randomness can see
@@ -218,20 +207,9 @@ pub fn run_study(seed: u64, config: &ScenarioConfig) -> StudyResults {
 /// * the executor returns outputs in job order, and aggregation folds them
 ///   in that (roster) order — completion order never reaches the fold.
 ///
-/// The equivalence is asserted by `tests/parallel_equivalence.rs` and the
-/// CI `parallel-equivalence` job.
-pub fn run_study_with_jobs(seed: u64, config: &ScenarioConfig, jobs: usize) -> StudyResults {
-    run_study_with_exec(seed, config, jobs, 1)
-}
-
-/// Runs the whole study on `jobs` worker threads, `batch` runs per
-/// executor task; a task runs its chunk one session after another.
-///
-/// Chunking changes only how runs are handed to workers, never what any
-/// run computes: runs are fully independent, so results are bit-identical
-/// for every `(jobs, batch)` combination. The chunk size clamps to the
-/// jobs remaining (a 36-run campaign at `batch 8` ends with a 4-run
-/// chunk).
+/// The chunk size clamps to the jobs remaining (a 36-run campaign at
+/// `batch 8` ends with a 4-run chunk). The equivalence is asserted by
+/// `tests/parallel_equivalence.rs` and the CI `parallel-equivalence` job.
 pub fn run_study_with_exec(
     seed: u64,
     config: &ScenarioConfig,
@@ -241,17 +219,25 @@ pub fn run_study_with_exec(
     let roster = paper_roster();
     let job_list = study_job_list(&roster);
     let training_cfg = training_config(config);
-    let outputs: Vec<RunOutput> = execute_ordered_batched(job_list, jobs, batch, |chunk| {
-        chunk
-            .into_iter()
-            .map(|(subject, kind)| run_cell(seed, &roster[subject], kind, config, &training_cfg))
-            .collect()
-    });
+    let outputs: Vec<RunOutput> = execute_ordered(
+        job_list,
+        jobs,
+        batch,
+        |chunk| {
+            chunk
+                .into_iter()
+                .map(|(subject, kind)| {
+                    run_cell(seed, &roster[subject], kind, config, &training_cfg)
+                })
+                .collect()
+        },
+        |_| {},
+    );
     assemble_study(seed, config, roster, outputs)
 }
 
 /// One row of Table II: faults injected per test.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Table2Row {
     /// Subject id.
     pub test: String,
@@ -279,7 +265,7 @@ pub fn table2(results: &StudyResults) -> Vec<Table2Row> {
 }
 
 /// One row of Table III: TTC statistics per test.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Table3Row {
     /// Subject id.
     pub test: String,
@@ -314,7 +300,7 @@ pub fn table3(results: &StudyResults, config: &TtcConfig) -> Vec<Table3Row> {
 }
 
 /// One row of Table IV: SRR (reversals/minute) per test.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Table4Row {
     /// Subject id.
     pub test: String,
@@ -377,7 +363,7 @@ mod tests {
     /// One shared quick study for all assertions (runs are the expensive
     /// part; the table generators are cheap).
     fn quick_study() -> StudyResults {
-        run_study(424242, &ScenarioConfig::quick())
+        run_study_with_exec(424242, &ScenarioConfig::quick(), crate::default_jobs(), 1)
     }
 
     #[test]

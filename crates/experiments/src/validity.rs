@@ -9,18 +9,17 @@
 //! > made it impossible. These sweeps regenerate those dose–response
 //! > curves.
 
-use crate::{run_protocol, ScenarioConfig};
+use crate::{execute_ordered, run_protocol, ScenarioConfig};
 use rdsim_core::RunKind;
 use rdsim_netem::NetemConfig;
 use rdsim_operator::SubjectProfile;
 use rdsim_roadnet::town05;
 use rdsim_units::{MetersPerSecond, Millis, Ratio, SimDuration};
 use rdsim_vehicle::VehicleSpec;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Qualitative drivability verdict for one sweep point.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Drivability {
     /// No noticeable effect.
     Fine,
@@ -44,7 +43,7 @@ impl fmt::Display for Drivability {
 }
 
 /// One sweep measurement.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SweepPoint {
     /// Condition label ("delay 100ms", "loss 10%").
     pub label: String,
@@ -61,7 +60,7 @@ pub struct SweepPoint {
 }
 
 /// A full sweep over one plant.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SweepReport {
     /// Plant description.
     pub plant: String,
@@ -187,8 +186,9 @@ fn sweep_config(base: &ScenarioConfig, fault: Option<NetemConfig>) -> ScenarioCo
     }
 }
 
-/// E8: the simulator-plant sweep (passenger car on the town05 course).
-pub fn validity_sweep(seed: u64) -> SweepReport {
+/// E8: the simulator-plant sweep (passenger car on the town05 course),
+/// its points run on `jobs` worker threads.
+pub fn validity_sweep(seed: u64, jobs: usize) -> SweepReport {
     let base = ScenarioConfig {
         laps: 1,
         progress_target: Some(560.0),
@@ -197,11 +197,19 @@ pub fn validity_sweep(seed: u64) -> SweepReport {
     };
     let delays = [0.0, 5.0, 25.0, 50.0, 100.0, 150.0, 200.0, 250.0];
     let losses = [1.0, 2.0, 5.0, 7.0, 10.0, 12.0];
-    build_report("simulator (passenger car)", &base, &delays, &losses, seed)
+    build_report(
+        "simulator (passenger car)",
+        &base,
+        &delays,
+        &losses,
+        seed,
+        jobs,
+    )
 }
 
-/// E9: the model-vehicle sweep (RC car plant; §VIII's scaled prototype).
-pub fn model_vehicle_sweep(seed: u64) -> SweepReport {
+/// E9: the model-vehicle sweep (RC car plant; §VIII's scaled prototype),
+/// its points run on `jobs` worker threads.
+pub fn model_vehicle_sweep(seed: u64, jobs: usize) -> SweepReport {
     let base = ScenarioConfig {
         laps: 1,
         progress_target: Some(200.0),
@@ -219,57 +227,50 @@ pub fn model_vehicle_sweep(seed: u64) -> SweepReport {
     };
     let delays = [0.0, 10.0, 20.0, 50.0, 100.0, 150.0];
     let losses = [2.0, 5.0, 7.0, 10.0];
-    build_report("model vehicle (RC car)", &base, &delays, &losses, seed)
+    build_report(
+        "model vehicle (RC car)",
+        &base,
+        &delays,
+        &losses,
+        seed,
+        jobs,
+    )
 }
 
+/// Runs the delay and loss points as one job list on `jobs` workers. A
+/// point's seed is `seed ^ (i << 8)`, with `i` its index in its own sweep,
+/// so the report is the same for every worker count.
 fn build_report(
     plant: &str,
     base: &ScenarioConfig,
     delays: &[f64],
     losses: &[f64],
     seed: u64,
+    jobs: usize,
 ) -> SweepReport {
-    let run_points = |faults: Vec<(String, Option<NetemConfig>)>| -> Vec<RawPoint> {
-        crossbeam::thread::scope(|scope| {
-            let handles: Vec<_> = faults
+    let delay_points = delays.iter().enumerate().map(|(i, &ms)| {
+        let fault = (ms > 0.0).then(|| NetemConfig::default().with_delay(Millis::new(ms)));
+        (format!("delay {ms:.0}ms"), fault, i)
+    });
+    let loss_points = losses.iter().enumerate().map(|(i, &pct)| {
+        let fault = NetemConfig::default().with_loss(Ratio::from_percent(pct));
+        (format!("loss {pct:.0}%"), Some(fault), i)
+    });
+    let mut delay_raw = execute_ordered(
+        delay_points.chain(loss_points).collect(),
+        jobs,
+        1,
+        |chunk| {
+            chunk
                 .into_iter()
-                .enumerate()
-                .map(|(i, (label, fault))| {
-                    let cfg = sweep_config(base, fault);
-                    scope.spawn(move |_| measure(label, &cfg, seed ^ (i as u64) << 8))
+                .map(|(label, fault, i)| {
+                    measure(label, &sweep_config(base, fault), seed ^ ((i as u64) << 8))
                 })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("sweep run panicked"))
                 .collect()
-        })
-        .expect("sweep scope")
-    };
-    let delay_raw = run_points(
-        delays
-            .iter()
-            .map(|&ms| {
-                let fault = if ms > 0.0 {
-                    Some(NetemConfig::default().with_delay(Millis::new(ms)))
-                } else {
-                    None
-                };
-                (format!("delay {ms:.0}ms"), fault)
-            })
-            .collect(),
+        },
+        |_| {},
     );
-    let loss_raw = run_points(
-        losses
-            .iter()
-            .map(|&pct| {
-                (
-                    format!("loss {pct:.0}%"),
-                    Some(NetemConfig::default().with_loss(Ratio::from_percent(pct))),
-                )
-            })
-            .collect(),
-    );
+    let loss_raw = delay_raw.split_off(delays.len());
     // The fault-free point (delay 0) is the plant's baseline: verdicts
     // compare every condition against how this plant drives undisturbed.
     let baseline_mean = delay_raw
@@ -385,9 +386,8 @@ mod tests {
         assert!(report.loss_threshold(Drivability::Degraded).is_none());
     }
 
-    // The actual sweeps run in the benches/repro binary (they take tens of
-    // seconds in release mode); here we only verify a single tiny point
-    // end to end.
+    // The full sweeps run in the repro binary and are pinned by the
+    // `repro_quick` golden; here we only verify tiny points end to end.
     #[test]
     fn single_measure_point_runs() {
         let cfg = ScenarioConfig {
@@ -401,5 +401,37 @@ mod tests {
         assert!(!p.collided);
         let point = p.into_point(0.12);
         assert!(point.verdict <= Drivability::Difficult, "{point:?}");
+    }
+
+    #[test]
+    fn sweep_points_are_the_same_on_any_worker_count() {
+        let base = ScenarioConfig {
+            laps: 1,
+            progress_target: Some(100.0),
+            max_duration: SimDuration::from_secs(60),
+            ..ScenarioConfig::default()
+        };
+        let (delays, losses, seed) = ([0.0, 50.0], [5.0], 11);
+        let serial = build_report("tiny", &base, &delays, &losses, seed, 1);
+        let parallel = build_report("tiny", &base, &delays, &losses, seed, 3);
+        assert_eq!(serial, parallel);
+
+        // Each point is a direct measurement at its own sweep index's seed.
+        let direct = |label: &str, fault, i: u64| {
+            measure(label.into(), &sweep_config(&base, fault), seed ^ (i << 8))
+        };
+        let baseline = direct("delay 0ms", None, 0);
+        let baseline_mean = baseline.mean_lateral.max(0.02);
+        let delay_50 = NetemConfig::default().with_delay(Millis::new(50.0));
+        let loss_5 = NetemConfig::default().with_loss(Ratio::from_percent(5.0));
+        let expect = SweepReport {
+            plant: "tiny".into(),
+            delays: vec![
+                baseline.into_point(baseline_mean),
+                direct("delay 50ms", Some(delay_50), 1).into_point(baseline_mean),
+            ],
+            losses: vec![direct("loss 5%", Some(loss_5), 0).into_point(baseline_mean)],
+        };
+        assert_eq!(serial, expect);
     }
 }

@@ -1,7 +1,6 @@
 //! Signal filters used by the metrics pipeline and actuator models.
 
 use rdsim_units::{Hertz, Seconds};
-use serde::{Deserialize, Serialize};
 
 /// A second-order (biquad) Butterworth low-pass filter.
 ///
@@ -25,7 +24,7 @@ use serde::{Deserialize, Serialize};
 /// }
 /// assert!((y - 1.0).abs() < 1e-6);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ButterworthLowPass {
     b0: f64,
     b1: f64,
@@ -116,7 +115,7 @@ impl ButterworthLowPass {
 }
 
 /// A simple windowed moving average.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MovingAverage {
     window: usize,
     buf: Vec<f64>,
@@ -167,7 +166,7 @@ impl MovingAverage {
 
 /// Limits the rate of change of a signal (e.g. a steering actuator that can
 /// slew at most `max_rate_per_sec` units per second).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RateLimiter {
     max_rate_per_sec: f64,
     state: Option<f64>,

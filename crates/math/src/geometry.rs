@@ -4,10 +4,9 @@ use std::fmt;
 use std::ops::{Add, AddAssign, Div, Mul, Neg, Sub, SubAssign};
 
 use rdsim_units::{Meters, Radians};
-use serde::{Deserialize, Serialize};
 
 /// A 2-D vector in metres (world frame: x east, y north).
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Vec2 {
     /// X component (metres).
     pub x: f64,
@@ -187,7 +186,7 @@ impl fmt::Display for Vec2 {
 }
 
 /// A planar pose: position plus heading.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Pose2 {
     /// Position in the world frame (metres).
     pub position: Vec2,

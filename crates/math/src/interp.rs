@@ -1,10 +1,9 @@
 //! Interpolation and signal resampling helpers.
 
 use rdsim_units::Seconds;
-use serde::{Deserialize, Serialize};
 
 /// A timestamped scalar sample.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Sample {
     /// Sample time in seconds from run start.
     pub t: f64,

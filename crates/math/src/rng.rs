@@ -27,17 +27,10 @@
 //!   `0xA076_1D64_78BD_642F` label salt, the FNV-style fold, and the
 //!   `substream_index` scramble) are load-bearing for every recorded
 //!   digest — changing them is a breaking change to all golden files.
-//! * **Serialization caveat:** `spare_normal` (the cached Box–Muller
-//!   deviate) is `#[serde(skip)]`, so a serialize/deserialize round-trip
-//!   mid-run can drop one pending normal draw. Campaign code never
-//!   snapshots streams mid-run; keep it that way.
-
-use rand::RngCore;
-use serde::{Deserialize, Serialize};
 
 /// SplitMix64: a tiny, high-quality 64-bit PRNG used here mainly for seeding
 /// and hashing stream labels.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SplitMix64 {
     state: u64,
 }
@@ -61,7 +54,7 @@ impl SplitMix64 {
 }
 
 /// xoshiro256** — the workhorse generator.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Xoshiro256StarStar {
     s: [u64; 4],
 }
@@ -117,12 +110,11 @@ impl Xoshiro256StarStar {
 /// let mut b = root.substream("faults");
 /// assert_eq!(a.next_u64(), b.next_u64()); // same label ⇒ same stream
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RngStream {
     seed: u64,
     gen: Xoshiro256StarStar,
     /// Cached second normal deviate from the Box–Muller transform.
-    #[serde(skip)]
     spare_normal: Option<u64>, // bit pattern of f64, kept as u64 to stay Eq
 }
 
@@ -262,33 +254,6 @@ impl RngStream {
     }
 }
 
-impl RngCore for RngStream {
-    fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
-    fn next_u64(&mut self) -> u64 {
-        RngStream::next_u64(self)
-    }
-
-    fn fill_bytes(&mut self, dest: &mut [u8]) {
-        let mut chunks = dest.chunks_exact_mut(8);
-        for chunk in &mut chunks {
-            chunk.copy_from_slice(&RngStream::next_u64(self).to_le_bytes());
-        }
-        let rem = chunks.into_remainder();
-        if !rem.is_empty() {
-            let bytes = RngStream::next_u64(self).to_le_bytes();
-            rem.copy_from_slice(&bytes[..rem.len()]);
-        }
-    }
-
-    fn try_fill_bytes(&mut self, dest: &mut [u8]) -> Result<(), rand::Error> {
-        self.fill_bytes(dest);
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -422,14 +387,6 @@ mod tests {
             seen[*rng.choose(&items) as usize - 1] = true;
         }
         assert!(seen.iter().all(|&s| s));
-    }
-
-    #[test]
-    fn rngcore_fill_bytes() {
-        let mut rng = RngStream::from_seed(31);
-        let mut buf = [0u8; 13];
-        rng.fill_bytes(&mut buf);
-        assert!(buf.iter().any(|&b| b != 0));
     }
 
     #[test]

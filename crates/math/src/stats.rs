@@ -1,6 +1,5 @@
 //! Streaming and batch statistics for the metric tables.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Welford-style streaming statistics: count, mean, variance, min, max.
@@ -18,7 +17,7 @@ use std::fmt;
 /// assert_eq!(s.min(), Some(1.0));
 /// assert_eq!(s.max(), Some(4.0));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct RunningStats {
     count: u64,
     mean: f64,
@@ -157,7 +156,7 @@ impl FromIterator<f64> for RunningStats {
 }
 
 /// A batch summary with percentiles, produced by [`summary`].
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Summary {
     /// Number of finite samples.
     pub count: usize,

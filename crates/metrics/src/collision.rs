@@ -3,11 +3,10 @@
 
 use rdsim_core::{PaperFault, RunKind, RunRecord};
 use rdsim_units::SimTime;
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// A crash attributed to the fault active when it happened.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CrashAttribution {
     /// Which subject crashed.
     pub subject: String,
@@ -18,7 +17,7 @@ pub struct CrashAttribution {
 }
 
 /// Aggregated collision analysis across a campaign.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct CollisionAnalysis {
     /// Subjects analysed.
     pub subjects: usize,

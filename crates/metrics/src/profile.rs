@@ -3,11 +3,10 @@
 use rdsim_core::RunLog;
 use rdsim_math::Sample;
 use rdsim_units::Seconds;
-use serde::{Deserialize, Serialize};
 
 /// A steering profile: the time series plus scenario timing marks,
 /// suitable for plotting golden vs faulty runs side by side (Fig. 4).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SteeringProfile {
     /// Run label ("golden run" / "faulty run").
     pub label: String,

@@ -2,10 +2,9 @@
 
 use rdsim_math::{ButterworthLowPass, Sample};
 use rdsim_units::{Hertz, Seconds};
-use serde::{Deserialize, Serialize};
 
 /// SRR computation parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SrrConfig {
     /// Low-pass cut-off applied before locating stationary points
     /// (SAE J2944 recommends ~0.6 Hz for reversal counting).
@@ -30,7 +29,7 @@ impl Default for SrrConfig {
 }
 
 /// The result of a reversal count.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SrrResult {
     /// Number of reversals counted.
     pub reversals: usize,

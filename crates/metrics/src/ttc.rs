@@ -3,10 +3,9 @@
 use rdsim_core::RunLog;
 use rdsim_math::RunningStats;
 use rdsim_units::{Meters, MetersPerSecond, Seconds};
-use serde::{Deserialize, Serialize};
 
 /// TTC computation parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TtcConfig {
     /// Only gaps at or below this distance are analysed ("only intervals
     /// with relative distance ≤ 100 m were included", §VI.C).
@@ -33,7 +32,7 @@ impl Default for TtcConfig {
 }
 
 /// One TTC observation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TtcSample {
     /// Time of the observation (seconds from run start).
     pub t: f64,
@@ -42,7 +41,7 @@ pub struct TtcSample {
 }
 
 /// Aggregate TTC statistics (one Table III cell is the max/avg/min trio).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TtcStats {
     /// Largest TTC observed.
     pub max: Seconds,

@@ -1,12 +1,11 @@
 //! NETEM fault configuration.
 
 use rdsim_units::{Millis, Ratio, SimDuration};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Delay parameters: fixed base delay, optional jitter with correlation —
 /// the `tc qdisc ... netem delay <base> [<jitter> [<correlation>]]` triple.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DelayConfig {
     /// Base one-way delay.
     pub base: Millis,
@@ -37,7 +36,7 @@ impl DelayConfig {
 }
 
 /// Packet-loss model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum LossConfig {
     /// Independent (optionally correlated) Bernoulli loss — `loss <p%>
     /// [<correlation%>]`.
@@ -96,7 +95,7 @@ impl LossConfig {
 /// With probability `probability` a packet is transmitted immediately while
 /// the remainder experience the configured delay, which reorders streams
 /// whenever the delay exceeds the inter-packet gap.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ReorderConfig {
     /// Probability that a packet jumps the queue.
     pub probability: Ratio,
@@ -109,7 +108,7 @@ pub struct ReorderConfig {
 
 /// Rate limiting — `rate <bits/s>`: packets acquire serialisation delay
 /// `len * 8 / rate` and queue behind each other.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RateConfig {
     /// Link rate in bits per second.
     pub bits_per_second: u64,
@@ -131,7 +130,7 @@ impl RateConfig {
 ///
 /// An empty config (`NetemConfig::default()`) passes traffic through
 /// unchanged — equivalent to deleting the qdisc rule.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct NetemConfig {
     /// Delay/jitter settings.
     pub delay: Option<DelayConfig>,
@@ -148,7 +147,6 @@ pub struct NetemConfig {
     /// Queue capacity in packets (netem's `limit`). `None` falls back to
     /// the BDP-derived default when `rate` is set, unbounded otherwise —
     /// see [`NetemConfig::effective_limit`].
-    #[serde(default)]
     pub limit: Option<u32>,
 }
 

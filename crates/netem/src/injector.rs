@@ -9,11 +9,10 @@
 
 use crate::{DuplexLink, NetemConfig};
 use rdsim_units::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Whether a rule was added or deleted.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum InjectionAction {
     /// The rule became active.
     Added,
@@ -26,7 +25,7 @@ pub enum InjectionAction {
 /// The paper's loopback setup is inherently [`Direction::Both`]; the
 /// unidirectional modes reproduce the per-direction experiments of the
 /// related 4G/5G evaluation work it cites.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Direction {
     /// Both directions (the paper's loopback semantics).
     #[default]
@@ -57,7 +56,7 @@ impl fmt::Display for InjectionAction {
 }
 
 /// One entry of the injection log: exactly the tuple the paper records.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct InjectionEvent {
     /// When the transition happened.
     pub time: SimTime,
@@ -66,13 +65,12 @@ pub struct InjectionEvent {
     /// Added or deleted.
     pub action: InjectionAction,
     /// The direction(s) affected.
-    #[serde(default)]
     pub direction: Direction,
 }
 
 /// A scheduled fault window: `config` is active during
 /// `[start, start + duration)`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct InjectionWindow {
     /// Activation time.
     pub start: SimTime,

@@ -3,11 +3,10 @@
 use crate::{NetemConfig, NetemQdisc, Packet, Qdisc};
 use rdsim_obs::{Histogram, Recorder, Tracer};
 use rdsim_units::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// Delivery statistics of one link direction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct LinkStats {
     /// Packets offered to the link.
     pub sent: u64,
@@ -16,9 +15,7 @@ pub struct LinkStats {
     /// Packets dropped by loss faults.
     pub dropped: u64,
     /// Packets tail-dropped by a full finite queue (congestion) —
-    /// disjoint from the loss-model `dropped` ledger. `serde(default)`
-    /// keeps stats recorded before the field existed deserializable.
-    #[serde(default)]
+    /// disjoint from the loss-model `dropped` ledger.
     pub queue_dropped: u64,
     /// Duplicate copies delivered.
     pub duplicates: u64,

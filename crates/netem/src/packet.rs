@@ -2,11 +2,10 @@
 
 use bytes::Bytes;
 use rdsim_units::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// What a packet carries, mirroring the paper's RDS traffic classes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PacketKind {
     /// A video frame from the vehicle subsystem to the operator station.
     Video,
@@ -32,7 +31,7 @@ impl fmt::Display for PacketKind {
 }
 
 /// A packet in flight on an emulated link.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Packet {
     /// Sender-assigned sequence number (unique per stream).
     pub seq: u64,

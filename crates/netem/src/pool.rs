@@ -12,7 +12,7 @@
 //! condition (400 ms delay plus duplication) roughly 25 video frames
 //! and 40 commands are in flight at once, so pools warm up to a few
 //! dozen slots and then stop allocating — the allocation-regression
-//! harness (`cargo bench -p rdsim-bench --bench alloc`) pins that at
+//! test (`crates/core/tests/alloc_regression.rs`) pins that at
 //! **zero** steady-state allocations per session step.
 //!
 //! * Frame payloads: one [`BufPool`] per [`SimulatorServer`] with slot

@@ -3,7 +3,7 @@
 //! [`CountingAlloc`] wraps the system allocator and counts every
 //! allocation event (`alloc`, `alloc_zeroed`, `realloc`) plus the bytes
 //! requested, in process-wide relaxed atomics. It is deliberately **not**
-//! installed by this crate: a test or bench binary opts in with
+//! installed by this crate: a test binary opts in with
 //!
 //! ```ignore
 //! #[global_allocator]
@@ -16,10 +16,10 @@
 //!
 //! Counters are global to the process, so measurements are only
 //! meaningful on a single thread with no concurrent allocator traffic —
-//! exactly the situation in `crates/core/tests/alloc_regression.rs` and
-//! `cargo bench -p rdsim-bench --bench alloc`. Deallocations are *not*
-//! counted: the regression gate is "no new heap memory is requested per
-//! steady-state step", and frees of warm-up memory are irrelevant to it.
+//! exactly the situation in the `alloc_regression` tests of `rdsim-core`
+//! and `rdsim-operator`. Deallocations are *not* counted: the regression
+//! gate is "no new heap memory is requested per steady-state step", and
+//! frees of warm-up memory are irrelevant to it.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};

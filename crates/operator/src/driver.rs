@@ -8,11 +8,10 @@ use rdsim_roadnet::{LaneId, RoadNetwork};
 use rdsim_simulator::ActorKind;
 use rdsim_units::{Meters, MetersPerSecond, Radians, Seconds, SimTime};
 use rdsim_vehicle::ControlInput;
-use serde::{Deserialize, Serialize};
 
 /// Tunable parameters of the driver model (derived from a
 /// [`SubjectProfile`] or set directly for ablations).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DriverParams {
     /// Visuomotor *tracking* latency for continuous steering (~0.2 s in
     /// the manual-control literature).
@@ -57,7 +56,7 @@ impl Default for DriverParams {
 /// An out-of-band instruction from the test leader ("turn left here",
 /// "overtake the parked vans"): a target lane and speed. Instructions are
 /// verbal and do **not** traverse the faulty network.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Instruction {
     /// The lane to drive in.
     pub lane: LaneId,

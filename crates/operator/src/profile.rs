@@ -4,10 +4,9 @@
 use crate::DriverParams;
 use rdsim_math::RngStream;
 use rdsim_units::Seconds;
-use serde::{Deserialize, Serialize};
 
 /// Video-gaming experience (questionnaire Q1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Experience {
     /// No gaming background.
     None,
@@ -18,7 +17,7 @@ pub enum Experience {
 }
 
 /// Prior experience with a driving station (Q3).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Familiarity {
     /// Never used one — 6 subjects.
     None,
@@ -31,7 +30,7 @@ pub enum Familiarity {
 /// Handedness / driving-side habit. The paper excluded T7 because the
 /// subject was used to left-hand traffic, "which unduly affected the
 /// ability to drive in our (right-hand) scenarios".
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Handedness {
     /// Used to right-hand traffic (matches the scenarios).
     RightTraffic,
@@ -40,7 +39,7 @@ pub enum Handedness {
 }
 
 /// A test subject: identity plus the traits the questionnaire asks about.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SubjectProfile {
     /// Subject label ("T1" … "T12").
     pub id: String,

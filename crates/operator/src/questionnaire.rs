@@ -2,10 +2,9 @@
 
 use crate::{Experience, Familiarity, PerceptionState, SubjectProfile};
 use rdsim_math::RngStream;
-use serde::{Deserialize, Serialize};
 
 /// One subject's answers to the six questions.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Questionnaire {
     /// Subject id.
     pub subject: String,
@@ -88,7 +87,7 @@ impl Questionnaire {
 }
 
 /// Aggregated answers across subjects (§VI.F).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct QuestionnaireSummary {
     /// Subjects with any gaming experience.
     pub with_gaming_experience: usize,

@@ -3,14 +3,10 @@
 use crate::Polyline;
 use rdsim_math::Pose2;
 use rdsim_units::{Meters, MetersPerSecond};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of a lane within a [`crate::RoadNetwork`].
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
-#[serde(transparent)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct LaneId(pub u32);
 
 impl fmt::Display for LaneId {
@@ -20,7 +16,7 @@ impl fmt::Display for LaneId {
 }
 
 /// What kind of traffic a lane carries.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum LaneKind {
     /// Ordinary driving lane.
     #[default]
@@ -34,7 +30,7 @@ pub enum LaneKind {
 }
 
 /// A single lane: centreline geometry plus graph topology.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Lane {
     id: LaneId,
     kind: LaneKind,
@@ -146,7 +142,7 @@ impl Lane {
 
 /// A position along a specific lane: `(lane, s)` with `s` the arc length
 /// from the lane start.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct LanePosition {
     /// The lane.
     pub lane: LaneId,

@@ -4,10 +4,9 @@ use crate::polyline::PRUNE_SLACK;
 use crate::{Lane, LaneId, LanePosition};
 use rdsim_math::{Pose2, Vec2};
 use rdsim_units::Meters;
-use serde::{Deserialize, Serialize};
 
 /// Result of projecting a world point onto a lane.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LaneProjection {
     /// Lane and arc length of the closest centreline point.
     pub position: LanePosition,
@@ -18,7 +17,7 @@ pub struct LaneProjection {
 }
 
 /// A labelled location where actors can be placed.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SpawnPoint {
     /// Human-readable label (e.g. `"following-start"`).
     pub name: String,
@@ -32,7 +31,7 @@ pub struct SpawnPoint {
 ///
 /// Construct with [`crate::RoadNetworkBuilder`] or use the built-in
 /// [`crate::town05`] map.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RoadNetwork {
     name: String,
     lanes: Vec<Lane>,

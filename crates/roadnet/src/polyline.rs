@@ -2,7 +2,6 @@
 
 use rdsim_math::{Pose2, Vec2};
 use rdsim_units::{Meters, Radians};
-use serde::{Deserialize, Serialize};
 
 /// Segments per pruning chunk of the projection index.
 const CHUNK: usize = 16;
@@ -57,17 +56,15 @@ impl SegAabb {
 /// segments per box) used by [`project`](Self::project) to skip runs of
 /// segments that provably cannot contain the nearest point — an exact
 /// optimisation: results are bit-identical to the plain linear scan.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Polyline {
     points: Vec<Vec2>,
     /// `cum[i]` is the arc length from the start to `points[i]`.
     cum: Vec<f64>,
     /// Bounding box of vertices `[k*CHUNK ..= min(end, (k+1)*CHUNK)]` —
     /// i.e. every segment in chunk `k` including its shared endpoints.
-    #[serde(skip)]
     chunks: Vec<SegAabb>,
     /// Bounding box of the whole polyline.
-    #[serde(skip)]
     bounds: SegAabb,
 }
 

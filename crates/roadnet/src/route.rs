@@ -2,14 +2,13 @@
 
 use crate::{LaneId, LanePosition, RoadNetwork};
 use rdsim_units::Meters;
-use serde::{Deserialize, Serialize};
 
 /// An ordered sequence of lanes a driver is instructed to follow.
 ///
 /// Consecutive lanes must be connected either as successor or as left/right
 /// neighbours (a neighbour step models an instructed lane change, as the
 /// paper's test leader gave turn/lane instructions during the runs).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Route {
     lanes: Vec<LaneId>,
 }
@@ -65,7 +64,7 @@ impl Route {
 }
 
 /// Tracks progress along a [`Route`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RouteCursor {
     route: Route,
     index: usize,

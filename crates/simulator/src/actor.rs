@@ -2,14 +2,10 @@
 
 use crate::traffic::LaneFollowConfig;
 use rdsim_vehicle::{ControlInput, KinematicBicycle, VehicleSpec, VehicleState};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of an actor within a [`crate::World`].
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
-#[serde(transparent)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct ActorId(pub u32);
 
 impl fmt::Display for ActorId {
@@ -19,7 +15,7 @@ impl fmt::Display for ActorId {
 }
 
 /// Category of road user, mirroring CARLA's blueprint families.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ActorKind {
     /// The remotely driven ego vehicle.
     Ego,

@@ -5,12 +5,11 @@ use bytes::{BufPool, Bytes};
 use rdsim_math::RngStream;
 use rdsim_obs::{Histogram, Recorder};
 use rdsim_units::{Hertz, SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 use std::time::Instant;
 
 /// Camera configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CameraConfig {
     /// Lower bound of the frame rate band.
     pub min_fps: Hertz,

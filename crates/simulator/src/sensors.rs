@@ -4,11 +4,10 @@ use crate::ActorId;
 use rdsim_math::{Pose2, Vec2};
 use rdsim_roadnet::LaneId;
 use rdsim_units::{Meters, MetersPerSecond, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// A collision between the ego vehicle and another actor, as logged by the
 /// paper's collision sensor (timestamp, frame, collision actors).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CollisionEvent {
     /// Simulation time of first contact.
     pub time: SimTime,
@@ -23,7 +22,7 @@ pub struct CollisionEvent {
 }
 
 /// A lane-boundary crossing by the ego vehicle (timestamp, frame, lane).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LaneInvasionEvent {
     /// Simulation time of the crossing.
     pub time: SimTime,

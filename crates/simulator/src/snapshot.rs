@@ -3,10 +3,9 @@
 use crate::{ActorId, ActorKind};
 use rdsim_math::Pose2;
 use rdsim_units::{Meters, MetersPerSecond, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// One actor as visible in a frame.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ActorSnapshot {
     /// Actor id.
     pub id: ActorId,
@@ -35,7 +34,7 @@ impl ActorSnapshot {
 /// operator model "sees" whatever the most recently *delivered* frame
 /// contains — which is exactly how network delay and loss degrade the
 /// operator's situational awareness.
-#[derive(Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Default, PartialEq)]
 pub struct WorldSnapshot {
     /// Capture time.
     pub time: SimTime,

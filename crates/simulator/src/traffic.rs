@@ -3,10 +3,9 @@
 use rdsim_roadnet::{LaneId, LanePosition, RoadNetwork};
 use rdsim_units::{Meters, MetersPerSecond, MetersPerSecond2};
 use rdsim_vehicle::{ControlInput, VehicleSpec, VehicleState};
-use serde::{Deserialize, Serialize};
 
 /// Intelligent Driver Model parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct IdmParams {
     /// Desired cruise speed.
     pub desired_speed: MetersPerSecond,
@@ -64,7 +63,7 @@ pub fn idm_acceleration(
 /// Pure-pursuit lane keeping: computes a normalised steering command that
 /// tracks a lane centreline (optionally offset laterally, e.g. cyclists
 /// hugging the lane edge).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LaneKeeper {
     /// Minimum lookahead distance.
     pub min_lookahead: Meters,

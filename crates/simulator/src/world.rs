@@ -9,10 +9,9 @@ use rdsim_math::RngStream;
 use rdsim_roadnet::{LaneId, LanePosition, LaneProjection, RoadNetwork};
 use rdsim_units::{Meters, MetersPerSecond, Ratio, SimDuration, SimTime};
 use rdsim_vehicle::{ControlInput, VehicleSpec, VehicleState};
-use serde::{Deserialize, Serialize};
 
 /// Environmental meta-state (set via CARLA-style meta-commands).
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Weather {
     /// Night-time driving (the paper's OD includes day and night).
     pub night: bool,

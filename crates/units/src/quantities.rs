@@ -4,15 +4,12 @@ use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, DivAssign, Mul, MulAssign, Neg, Sub, SubAssign};
 
-use serde::{Deserialize, Serialize};
-
 /// Implements the shared surface of a scalar quantity newtype: construction,
 /// access, arithmetic within the unit, and scaling by dimensionless factors.
 macro_rules! scalar_quantity {
     ($(#[$meta:meta])* $name:ident, $suffix:expr) => {
         $(#[$meta])*
-        #[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
-        #[serde(transparent)]
+        #[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
         pub struct $name(f64);
 
         impl $name {
@@ -517,19 +514,6 @@ mod tests {
     fn sum_of_quantities() {
         let total: Meters = vec![Meters::new(1.0), Meters::new(2.5)].into_iter().sum();
         assert_eq!(total.get(), 3.5);
-    }
-
-    #[test]
-    fn serde_roundtrip_is_transparent() {
-        let v = Meters::new(12.5);
-        let json = serde_json_like(v.get());
-        // serde(transparent) means the serialised form is just the number;
-        // emulate that check without pulling in serde_json.
-        assert_eq!(json, "12.5");
-    }
-
-    fn serde_json_like(v: f64) -> String {
-        format!("{}", v)
     }
 
     proptest! {

@@ -2,11 +2,10 @@
 
 use crate::VehicleSpec;
 use rdsim_units::{MetersPerSecond, MetersPerSecond2, Radians, Ratio, Seconds};
-use serde::{Deserialize, Serialize};
 
 /// Steering actuator: converts a normalised steering command into a
 /// road-wheel angle, limited in both magnitude and slew rate.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SteeringActuator {
     max_angle: Radians,
     max_rate: Radians,
@@ -48,7 +47,7 @@ impl SteeringActuator {
 /// Powertrain model: converts throttle into longitudinal acceleration,
 /// with drive force fading linearly to zero at top speed, plus quadratic
 /// aerodynamic drag and constant rolling resistance.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Powertrain {
     max_accel: MetersPerSecond2,
     top_speed: MetersPerSecond,
@@ -89,7 +88,7 @@ impl Powertrain {
 }
 
 /// Brake model: converts brake-pedal position into deceleration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BrakeModel {
     max_brake: MetersPerSecond2,
 }

@@ -1,14 +1,13 @@
 //! CARLA-style normalised control inputs.
 
 use rdsim_units::Ratio;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A normalised driving command, mirroring CARLA's `VehicleControl`:
 /// throttle and brake in `[0, 1]`, steering in `[-1, 1]` (negative = left
 /// in CARLA; here **positive = left** to match the CCW-positive heading
 /// convention of the math crate), plus reverse and handbrake flags.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct ControlInput {
     /// Accelerator position, `0..=1`.
     pub throttle: Ratio,

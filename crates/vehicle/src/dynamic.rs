@@ -3,7 +3,6 @@
 use crate::{BrakeModel, ControlInput, Powertrain, SteeringActuator, VehicleSpec, VehicleState};
 use rdsim_math::{Pose2, Vec2};
 use rdsim_units::{MetersPerSecond, MetersPerSecond2, Radians, Seconds};
-use serde::{Deserialize, Serialize};
 
 /// 2-DOF dynamic single-track ("bicycle") model with linear cornering
 /// stiffness.
@@ -20,7 +19,7 @@ use serde::{Deserialize, Serialize};
 ///
 /// Below `V_BLEND_LOW` the model blends into kinematic behaviour because
 /// slip angles are ill-conditioned at near-zero speed.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DynamicBicycle {
     spec: VehicleSpec,
     steering: SteeringActuator,

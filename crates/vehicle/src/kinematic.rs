@@ -3,7 +3,6 @@
 use crate::{BrakeModel, ControlInput, Powertrain, SteeringActuator, VehicleSpec, VehicleState};
 use rdsim_math::Vec2;
 use rdsim_units::{MetersPerSecond, MetersPerSecond2, Radians, Seconds};
-use serde::{Deserialize, Serialize};
 
 /// Kinematic bicycle model with actuator dynamics.
 ///
@@ -20,7 +19,7 @@ use serde::{Deserialize, Serialize};
 /// where `δ` is the road-wheel angle after the steering actuator's slew
 /// limit. The model is exact for zero-slip rolling and is the standard
 /// choice for urban-speed simulation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct KinematicBicycle {
     spec: VehicleSpec,
     steering: SteeringActuator,

@@ -10,8 +10,7 @@
 //!   scenarios and unconditionally stable at the 20 ms step the simulator
 //!   uses.
 //! * [`DynamicBicycle`] — a 2-DOF dynamic single-track model with linear
-//!   tire cornering stiffness, used for higher-speed highway validation and
-//!   the ablation benches.
+//!   tire cornering stiffness, for higher-speed highway validation.
 //!
 //! # Examples
 //!

@@ -1,13 +1,12 @@
 //! Vehicle parameter sets and the built-in catalog.
 
 use rdsim_units::{Degrees, Meters, MetersPerSecond, MetersPerSecond2, Radians};
-use serde::{Deserialize, Serialize};
 
 /// Physical and actuator parameters of a vehicle.
 ///
 /// Construct via the catalog methods ([`VehicleSpec::passenger_car`],
 /// [`VehicleSpec::rc_model_car`], …) or [`VehicleSpec::builder`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct VehicleSpec {
     name: String,
     /// Overall body length.

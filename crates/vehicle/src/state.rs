@@ -2,11 +2,10 @@
 
 use rdsim_math::{Pose2, Vec2};
 use rdsim_units::{MetersPerSecond, MetersPerSecond2, Radians};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Instantaneous state of a vehicle body (at its centre of gravity).
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct VehicleState {
     /// Pose of the centre of gravity.
     pub pose: Pose2,

@@ -17,7 +17,7 @@
 use rdsim::core::RunKind;
 use rdsim::experiments::campaign_digest;
 use rdsim::experiments::{
-    execute_ordered, run_digest, run_protocol, run_seed, run_study_with_jobs, ScenarioConfig,
+    execute_ordered, run_digest, run_protocol, run_seed, run_study_with_exec, ScenarioConfig,
 };
 use rdsim::operator::SubjectProfile;
 
@@ -41,11 +41,22 @@ fn digests_with_jobs(jobs: usize) -> Vec<u64> {
         .flat_map(|(i, _)| kinds.iter().map(move |&k| (i, k)))
         .collect();
     let config = short_config();
-    execute_ordered(matrix, jobs, |(subject, kind)| {
-        let profile = SubjectProfile::typical(subjects[subject]);
-        let seed = run_seed(4242, &profile.id, kind);
-        run_digest(&run_protocol(&profile, kind, seed, &config))
-    })
+    execute_ordered(
+        matrix,
+        jobs,
+        1,
+        |chunk| {
+            chunk
+                .into_iter()
+                .map(|(subject, kind)| {
+                    let profile = SubjectProfile::typical(subjects[subject]);
+                    let seed = run_seed(4242, &profile.id, kind);
+                    run_digest(&run_protocol(&profile, kind, seed, &config))
+                })
+                .collect()
+        },
+        |_| {},
+    )
 }
 
 #[test]
@@ -88,8 +99,8 @@ fn repeated_parallel_execution_is_stable_in_process() {
 #[ignore = "full roster; covered in release mode by CI's parallel-equivalence job"]
 fn full_quick_campaign_is_jobs_invariant() {
     let config = ScenarioConfig::quick();
-    let serial = run_study_with_jobs(7, &config, 1);
-    let parallel = run_study_with_jobs(7, &config, 4);
+    let serial = run_study_with_exec(7, &config, 1, 1);
+    let parallel = run_study_with_exec(7, &config, 4, 1);
     assert_eq!(
         campaign_digest(&serial),
         campaign_digest(&parallel),

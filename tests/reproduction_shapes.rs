@@ -1,6 +1,6 @@
 //! Shape checks against the paper's qualitative findings, on a
 //! single-subject slice of the study (the full 11-subject campaign runs
-//! in the benches and the `repro` binary).
+//! in the `repro` binary).
 
 use rdsim::core::{PaperFault, RunKind};
 use rdsim::experiments::{run_protocol, ScenarioConfig};

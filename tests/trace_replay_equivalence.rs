@@ -11,9 +11,7 @@
 //! `trace-replay-determinism` job.
 
 use rdsim::core::{Digestible, RunKind};
-use rdsim::experiments::{
-    execute_ordered_batched, run_digest, run_protocol, run_seed, ScenarioConfig,
-};
+use rdsim::experiments::{execute_ordered, run_digest, run_protocol, run_seed, ScenarioConfig};
 use rdsim::netem::TraceSchedule;
 use rdsim::operator::SubjectProfile;
 
@@ -48,16 +46,22 @@ fn matrix() -> Vec<(&'static str, RunKind)> {
 /// task (each task runs its chunk one session after another).
 fn digests_with(jobs: usize, batch: usize) -> Vec<u64> {
     let config = trace_config("5g_urban");
-    execute_ordered_batched(matrix(), jobs, batch, |chunk| {
-        chunk
-            .into_iter()
-            .map(|(subject, kind)| {
-                let profile = SubjectProfile::typical(subject);
-                let seed = run_seed(4242, &profile.id, kind);
-                run_digest(&run_protocol(&profile, kind, seed, &config))
-            })
-            .collect()
-    })
+    execute_ordered(
+        matrix(),
+        jobs,
+        batch,
+        |chunk| {
+            chunk
+                .into_iter()
+                .map(|(subject, kind)| {
+                    let profile = SubjectProfile::typical(subject);
+                    let seed = run_seed(4242, &profile.id, kind);
+                    run_digest(&run_protocol(&profile, kind, seed, &config))
+                })
+                .collect()
+        },
+        |_| {},
+    )
 }
 
 #[test]
