@@ -418,29 +418,23 @@ impl SessionCore {
     /// events (`session.fault`) and fault-edge incident marks, stamped
     /// with the transition's sim-time.
     pub(crate) fn sync_fault_events(&mut self) {
-        let log = self.injector.log();
-        let new: Vec<(SimTime, bool, String)> = log[self.fault_events_seen..]
-            .iter()
-            .map(|ev| {
-                (
-                    ev.time,
-                    matches!(ev.action, InjectionAction::Added),
-                    format!("{} {} {:?}", ev.action, ev.direction, ev.config),
-                )
-            })
-            .collect();
-        self.fault_events_seen = log.len();
-        for (time, added, note) in new {
+        let seen = self.fault_events_seen;
+        self.fault_events_seen = self.injector.log().len();
+        for i in seen..self.fault_events_seen {
+            let ev = self.injector.log()[i];
+            // Only a live recorder reads the note, so only it pays for one.
             if self.recorder.enabled() {
-                self.recorder.event("session.fault", time.as_micros(), note);
+                let note = format!("{} {} {:?}", ev.action, ev.direction, ev.config);
+                self.recorder
+                    .event("session.fault", ev.time.as_micros(), note);
             }
             // Fault-window edges are trace incidents: arg 1 = rule added
             // (window opens), 0 = rule deleted (window closes).
             self.mark_incident(
                 IncidentKind::FaultEdge,
-                time,
+                ev.time,
                 TraceStage::FaultEdge,
-                added as u64,
+                matches!(ev.action, InjectionAction::Added) as u64,
             );
         }
     }
@@ -812,8 +806,8 @@ impl RdsSession {
     ///
     /// # Errors
     ///
-    /// Returns the first trace window that overlaps an already
-    /// scheduled one; windows before it are left scheduled.
+    /// Returns the scheduled window that the first conflicting trace
+    /// window overlaps; trace windows before that one stay scheduled.
     #[allow(clippy::result_large_err)] // mirrors FaultInjector::schedule
     pub fn schedule_trace(&mut self, trace: &TraceSchedule) -> Result<(), InjectionWindow> {
         self.core.injector.schedule_trace(trace)

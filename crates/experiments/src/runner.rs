@@ -60,11 +60,13 @@ pub struct ScenarioConfig {
     /// default: the run then uses the null recorder throughout.
     pub telemetry: bool,
     /// Retain the session's flight-recorder snapshot in
-    /// [`RunOutput::trace`]. The flight recorder itself is always on
-    /// (bounded ring, negligible cost); this flag controls whether its
-    /// contents survive the run for export, and deepens the ring to
+    /// [`RunOutput::trace`], with the ring deepened to
     /// [`TRACE_EXPORT_CAPACITY`] so a full paper-style run fits without
-    /// overwriting its early incidents.
+    /// overwriting its early incidents. Without it the run records a
+    /// trace only under [`telemetry`](Self::telemetry), whose
+    /// `session.trace.*` counters read the default flight recorder; with
+    /// neither, the run has the null tracer, since nothing would read
+    /// the ring.
     pub trace: bool,
     /// Collect the per-window safety timeline ([`RunOutput::timeline`]).
     /// Off by default; the campaign digests exclude it, so enabling it
@@ -79,7 +81,7 @@ pub struct ScenarioConfig {
 
 /// Ring depth for runs whose trace is retained ([`ScenarioConfig::trace`]):
 /// a full two-lap run records ~170 k events, so 2¹⁸ holds it whole
-/// (~8 MiB; the default always-on ring stays at its much smaller bound).
+/// (~8 MiB; the default flight recorder stays at its much smaller bound).
 pub const TRACE_EXPORT_CAPACITY: usize = 1 << 18;
 
 impl Default for ScenarioConfig {
@@ -245,13 +247,17 @@ fn build_run(
             .as_ref()
             .map(Registry::recorder)
             .unwrap_or_else(Recorder::null),
-        // The default flight recorder keeps the recent past; a run whose
-        // trace will be *retained* for export gets a ring deep enough to
-        // hold the entire run, so early incidents survive to the dump.
+        // A run records a trace only when something reads it. One whose
+        // trace is *retained* for export gets a ring deep enough to hold
+        // the entire run, so early incidents survive to the dump; under
+        // telemetry the default flight recorder feeds the
+        // `session.trace.*` counters; otherwise nothing reads the ring.
         tracer: if config.trace {
             Tracer::with_capacity(TRACE_EXPORT_CAPACITY)
+        } else if config.telemetry {
+            Tracer::flight_recorder()
         } else {
-            RdsSessionConfig::default().tracer
+            Tracer::null()
         },
         timeline: config.timeline,
         ..RdsSessionConfig::default()
@@ -634,6 +640,33 @@ mod tests {
         // Off by default: no snapshot retained.
         let plain = run_protocol(&profile(), RunKind::Faulty, 101, &ScenarioConfig::quick());
         assert!(plain.trace.is_empty());
+    }
+
+    #[test]
+    fn unread_trace_is_not_recorded_and_changes_nothing() {
+        let plain = ScenarioConfig::quick();
+        let traced = ScenarioConfig {
+            trace: true,
+            ..ScenarioConfig::quick()
+        };
+        let observed = ScenarioConfig {
+            telemetry: true,
+            ..ScenarioConfig::quick()
+        };
+        let tracing = |cfg: &ScenarioConfig| {
+            let (session, _) = build_run(&profile(), RunKind::Faulty, 101, cfg);
+            session.tracer().enabled()
+        };
+        assert!(!tracing(&plain), "nothing reads the ring");
+        assert!(tracing(&traced), "the retained trace reads it");
+        assert!(tracing(&observed), "the session.trace.* counters read it");
+        let a = run_protocol(&profile(), RunKind::Faulty, 101, &plain);
+        let b = run_protocol(&profile(), RunKind::Faulty, 101, &traced);
+        assert!(!b.trace.is_empty());
+        assert_eq!(
+            crate::record_digest(&a.record),
+            crate::record_digest(&b.record)
+        );
     }
 
     #[test]

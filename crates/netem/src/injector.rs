@@ -7,7 +7,7 @@
 //! rule to a [`DuplexLink`] at the right simulated times, and every
 //! transition is logged.
 
-use crate::{DuplexLink, NetemConfig};
+use crate::{DuplexLink, NetemConfig, TraceSchedule};
 use rdsim_units::{SimDuration, SimTime};
 use std::fmt;
 
@@ -114,6 +114,11 @@ pub struct FaultInjector {
     windows: Vec<InjectionWindow>,
     log: Vec<InjectionEvent>,
     active: Option<usize>,
+    /// Every window before this index had ended at an earlier
+    /// [`advance`](Self::advance), so none of them can open again. A
+    /// window scheduled later that sorts before one of them must end by
+    /// the time that one starts, so it has ended too.
+    next: usize,
     /// An ad-hoc (unscheduled) rule is currently applied via
     /// [`FaultInjector::inject_now`] / [`FaultInjector::inject_now_on`].
     adhoc_active: bool,
@@ -141,6 +146,33 @@ impl FaultInjector {
         Ok(())
     }
 
+    /// Replays a trace: schedules every compiled edge window, with the
+    /// result of scheduling them one by one with
+    /// [`FaultInjector::schedule`]. The trace's windows follow one another
+    /// by construction (each ends no later than the next starts), so none
+    /// overlaps another: the window a trace window conflicts with is the
+    /// first one of the schedule before the call that it overlaps, and the
+    /// trace windows are inserted with one stable sort instead of one per
+    /// window.
+    ///
+    /// # Errors
+    ///
+    /// Returns the scheduled window that the first conflicting trace
+    /// window overlaps; trace windows before that one stay scheduled.
+    #[allow(clippy::result_large_err)] // the Err is a by-value copy of the conflicting window
+    pub fn schedule_trace(&mut self, trace: &TraceSchedule) -> Result<(), InjectionWindow> {
+        let run = trace.windows();
+        let conflict = run.iter().enumerate().find_map(|(k, t)| {
+            let c = self.windows.iter().find(|w| w.overlaps(t))?;
+            Some((k, *c))
+        });
+        let kept = conflict.map_or(run.len(), |(k, _)| k);
+        self.windows.extend_from_slice(&run[..kept]);
+        // Stable, so windows with one start keep their insertion order.
+        self.windows.sort_by_key(|w| w.start);
+        conflict.map_or(Ok(()), |(_, c)| Err(c))
+    }
+
     /// All scheduled windows, sorted by start time.
     pub fn windows(&self) -> &[InjectionWindow] {
         &self.windows
@@ -160,8 +192,13 @@ impl FaultInjector {
 
     /// Advances the injector to time `now`, applying and removing rules on
     /// the link as windows open and close. Call once per simulation step
-    /// *before* stepping the link.
+    /// *before* stepping the link, with `now` never earlier than the last
+    /// call's.
     pub fn advance(&mut self, link: &mut DuplexLink, now: SimTime) {
+        debug_assert!(
+            self.next == 0 || self.windows[self.next - 1].end() <= now,
+            "advance: time went backwards"
+        );
         // Close the active window if its time has passed.
         if let Some(idx) = self.active {
             let w = self.windows[idx];
@@ -176,10 +213,16 @@ impl FaultInjector {
                 self.active = None;
             }
         }
-        // Open a window whose start has arrived.
+        // Open a window whose start has arrived. Windows are sorted by
+        // start and do not overlap, so once those that have ended are
+        // skipped, the first one left is the only one that can contain
+        // `now`: every later one starts no earlier than it.
         if self.active.is_none() {
-            if let Some(idx) = self.windows.iter().position(|w| w.contains(now)) {
-                let w = self.windows[idx];
+            while self.windows.get(self.next).is_some_and(|w| w.end() <= now) {
+                self.next += 1;
+            }
+            let idx = self.next;
+            if let Some(&w) = self.windows.get(idx).filter(|w| w.contains(now)) {
                 link.set_both(w.config);
                 self.log.push(InjectionEvent {
                     time: now.max(w.start),

@@ -7,8 +7,9 @@
 //! both publish *measured* per-second traces. A [`TraceSchedule`] replays
 //! such a measurement: each sample pins the link condition from its
 //! timestamp until the next sample's, and the whole series compiles into
-//! back-to-back [`InjectionWindow`]s the [`FaultInjector`] replays through
-//! exactly the machinery the synthetic windows use. Nothing downstream —
+//! back-to-back [`InjectionWindow`]s the
+//! [`FaultInjector`](crate::FaultInjector) replays through exactly the
+//! machinery the synthetic windows use. Nothing downstream —
 //! run logs, digests — can tell a trace edge from a hand-scheduled one.
 //!
 //! # Formats
@@ -32,7 +33,7 @@
 //! runs clean until the next sample. The final sample holds for as long
 //! as the previous segment lasted (one second for a single-sample trace).
 
-use crate::{DelayConfig, FaultInjector, InjectionWindow, LossConfig, NetemConfig, RateConfig};
+use crate::{DelayConfig, InjectionWindow, LossConfig, NetemConfig, RateConfig};
 use rdsim_obs::JsonValue;
 use rdsim_units::{Millis, Ratio, SimDuration, SimTime};
 use std::fmt;
@@ -231,24 +232,6 @@ impl TraceSchedule {
     }
 }
 
-impl FaultInjector {
-    /// Replays a trace: schedules every compiled edge window. The trace's
-    /// windows are disjoint by construction, but they must also not
-    /// overlap anything already scheduled — the first conflicting window
-    /// is returned as the error, exactly like [`FaultInjector::schedule`].
-    ///
-    /// # Errors
-    ///
-    /// Returns the first window that overlaps an existing scheduled one.
-    #[allow(clippy::result_large_err)] // the Err is a by-value copy of the conflicting window
-    pub fn schedule_trace(&mut self, trace: &TraceSchedule) -> Result<(), InjectionWindow> {
-        for w in trace.windows() {
-            self.schedule(*w)?;
-        }
-        Ok(())
-    }
-}
-
 /// A sample's raw fields, before conversion into a [`NetemConfig`].
 #[derive(Debug, Default, Clone, Copy)]
 struct RawSample {
@@ -401,6 +384,7 @@ fn parse_csv_line(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::FaultInjector;
 
     const JSONL: &str = r#"
 {"t": 0.0, "delay_ms": 30.0, "jitter_ms": 5.0}

@@ -2,8 +2,9 @@
 //!
 //! Bucket 0 holds exactly the value `0`; bucket `i` (for `i >= 1`) holds
 //! values in `[2^(i-1), 2^i - 1]`. With 65 buckets the full `u64` range is
-//! covered, recording is a single shift + a handful of relaxed atomic ops,
-//! and the memory footprint per histogram is constant (~1 KiB). Relative
+//! covered, recording is a single shift + two relaxed atomic
+//! read-modify-writes (plus one more for a new extreme or a carry), and the
+//! memory footprint per histogram is constant (~1 KiB). Relative
 //! quantile error is bounded by the bucket width (a factor of 2), and the
 //! snapshot additionally tracks exact `min`/`max`/`sum` so the reported
 //! percentiles are clamped to the observed range and [`HistogramSnapshot::mean`]
@@ -48,10 +49,10 @@ pub fn bucket_bounds(index: usize) -> (u64, u64) {
 
 /// Shared, thread-safe histogram cell. Obtain handles via
 /// [`crate::Recorder::histogram`]; read via [`Histogram::snapshot`].
+/// There is no count word: the count is the sum of the buckets.
 #[derive(Debug)]
 pub struct Histogram {
     buckets: [AtomicU64; BUCKETS],
-    count: AtomicU64,
     /// Low 64 bits of the 128-bit running sum.
     sum_lo: AtomicU64,
     /// Carries out of `sum_lo` (the high 64 bits of the running sum).
@@ -71,7 +72,6 @@ impl Histogram {
     pub fn new() -> Self {
         Self {
             buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-            count: AtomicU64::new(0),
             sum_lo: AtomicU64::new(0),
             sum_hi: AtomicU64::new(0),
             min: AtomicU64::new(u64::MAX),
@@ -82,23 +82,34 @@ impl Histogram {
     /// Records one sample. All atomics are relaxed: per-instrument totals
     /// are exact, and snapshots are only taken after the run quiesces
     /// (which also makes the two-word sum read consistent).
+    ///
+    /// `min` only falls and `max` only rises, so a load, however stale,
+    /// that already shows `value` inside them proves the extreme needs no
+    /// update; only a sample that looks like a new extreme pays for the
+    /// locked `fetch_min`/`fetch_max`, which stays exact under concurrent
+    /// writers.
     #[inline]
     pub fn record(&self, value: u64) {
         self.buckets[bucket_index(value)].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
         let prev = self.sum_lo.fetch_add(value, Ordering::Relaxed);
         if u128::from(prev) + u128::from(value) > u128::from(u64::MAX) {
             self.sum_hi.fetch_add(1, Ordering::Relaxed);
         }
-        self.min.fetch_min(value, Ordering::Relaxed);
-        self.max.fetch_max(value, Ordering::Relaxed);
+        if value < self.min.load(Ordering::Relaxed) {
+            self.min.fetch_min(value, Ordering::Relaxed);
+        }
+        if value > self.max.load(Ordering::Relaxed) {
+            self.max.fetch_max(value, Ordering::Relaxed);
+        }
     }
 
     /// Copies the current state into an owned, mergeable snapshot.
     pub fn snapshot(&self) -> HistogramSnapshot {
-        let count = self.count.load(Ordering::Relaxed);
+        let buckets: [u64; BUCKETS] =
+            std::array::from_fn(|i| self.buckets[i].load(Ordering::Relaxed));
+        let count = buckets.iter().sum();
         HistogramSnapshot {
-            buckets: std::array::from_fn(|i| self.buckets[i].load(Ordering::Relaxed)),
+            buckets,
             count,
             sum: (u128::from(self.sum_hi.load(Ordering::Relaxed)) << 64)
                 | u128::from(self.sum_lo.load(Ordering::Relaxed)),
@@ -284,6 +295,49 @@ mod tests {
         let mut merged = a.snapshot();
         merged.merge(&b.snapshot());
         assert_eq!(merged, all.snapshot());
+    }
+
+    #[test]
+    fn concurrent_writers_match_the_serial_fold() {
+        use std::sync::Barrier;
+        // Every writer keeps producing new minima and maxima, so the
+        // extremes race between threads, and the sum carries out of its
+        // low word.
+        let values = |w: u64| -> Vec<u64> {
+            (0..20_000u64)
+                .map(|i| {
+                    // From 80,000 + w down to 4 + w; every other value
+                    // lies strictly between the two extremes' series.
+                    let falling = (20_000 - i) * 4 + w;
+                    match i % 4 {
+                        0 => falling,
+                        1 => u64::MAX - falling,
+                        2 => 1u64 << (17 + (i + w) % 47),
+                        _ => 100_000 + i * 7 + w,
+                    }
+                })
+                .collect()
+        };
+        let shared = Histogram::new();
+        let serial = Histogram::new();
+        for w in 0..4 {
+            values(w).into_iter().for_each(|v| serial.record(v));
+        }
+        let start = Barrier::new(4);
+        std::thread::scope(|s| {
+            for w in 0..4 {
+                let (shared, start) = (&shared, &start);
+                s.spawn(move || {
+                    let values = values(w);
+                    start.wait();
+                    values.into_iter().for_each(|v| shared.record(v));
+                });
+            }
+        });
+        let got = shared.snapshot();
+        assert_eq!(got, serial.snapshot());
+        assert_eq!(got.count, 80_000);
+        assert!(got.sum > u128::from(u64::MAX), "the sum carried");
     }
 
     #[test]

@@ -6,10 +6,17 @@ use rdsim_units::{Meters, Radians};
 /// Segments per pruning chunk of the projection index.
 const CHUNK: usize = 16;
 
-/// Skip margin for the exact pruning in [`Polyline::project`]: a chunk or
-/// lane is only skipped when its box lower bound exceeds the pruning
-/// threshold by more than this relative slack, which conservatively
-/// absorbs the few-ulp rounding of the bound and candidate arithmetic.
+/// Segments per sub-box, the index's second level inside a chunk.
+const SUB: usize = 4;
+
+/// Sub-boxes per chunk.
+const SUBS_PER_CHUNK: usize = CHUNK / SUB;
+
+/// Skip margin for the exact pruning in [`Polyline::project`]: a chunk,
+/// sub-box or lane is only skipped when its box lower bound exceeds the
+/// pruning threshold by more than this relative slack, which
+/// conservatively absorbs the few-ulp rounding of the bound and candidate
+/// arithmetic.
 pub(crate) const PRUNE_SLACK: f64 = 1.0 - 1e-9;
 
 /// Axis-aligned bounding box over a run of consecutive polyline vertices.
@@ -36,6 +43,17 @@ impl SegAabb {
         self.max_y = self.max_y.max(p.y);
     }
 
+    /// The box over both boxes' vertices: the same bounds as including
+    /// each of those vertices, since `min` and `max` are exact.
+    fn union(self, other: SegAabb) -> SegAabb {
+        SegAabb {
+            min_x: self.min_x.min(other.min_x),
+            min_y: self.min_y.min(other.min_y),
+            max_x: self.max_x.max(other.max_x),
+            max_y: self.max_y.max(other.max_y),
+        }
+    }
+
     /// Lower bound on the squared distance from `p` to anything inside
     /// the box (0 when `p` is inside).
     #[inline]
@@ -52,10 +70,11 @@ impl SegAabb {
 /// and arcs; with ~1 m vertex spacing the chord error of an urban-radius
 /// curve is far below lane-width tolerances.
 ///
-/// Construction also builds a chunked bounding-box index ([`CHUNK`]
-/// segments per box) used by [`project`](Self::project) to skip runs of
-/// segments that provably cannot contain the nearest point — an exact
-/// optimisation: results are bit-identical to the plain linear scan.
+/// Construction also builds a two-level bounding-box index ([`CHUNK`]
+/// segments per chunk box, [`SUB`] per sub-box) used by
+/// [`project`](Self::project) to skip runs of segments that provably
+/// cannot contain the nearest point — an exact optimisation: results are
+/// bit-identical to the plain linear scan.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Polyline {
     points: Vec<Vec2>,
@@ -63,7 +82,11 @@ pub struct Polyline {
     cum: Vec<f64>,
     /// Bounding box of vertices `[k*CHUNK ..= min(end, (k+1)*CHUNK)]` —
     /// i.e. every segment in chunk `k` including its shared endpoints.
+    /// Built as the union of the chunk's sub-boxes.
     chunks: Vec<SegAabb>,
+    /// Bounding box of vertices `[j*SUB ..= min(end, (j+1)*SUB)]`; chunk
+    /// `k` holds sub-boxes `[k*SUBS_PER_CHUNK, (k+1)*SUBS_PER_CHUNK)`.
+    subs: Vec<SegAabb>,
     /// Bounding box of the whole polyline.
     bounds: SegAabb,
 }
@@ -96,23 +119,27 @@ impl Polyline {
             cum.push(total);
         }
         let nseg = dedup.len() - 1;
-        let mut bounds = SegAabb::EMPTY;
-        for &p in &dedup {
-            bounds.include(p);
-        }
-        let mut chunks = Vec::with_capacity(nseg.div_ceil(CHUNK));
-        for start in (0..nseg).step_by(CHUNK) {
-            let mut bb = SegAabb::EMPTY;
-            // Include both endpoints of every segment in the chunk.
-            for &p in &dedup[start..=(start + CHUNK).min(nseg)] {
-                bb.include(p);
-            }
-            chunks.push(bb);
-        }
+        let subs: Vec<SegAabb> = (0..nseg)
+            .step_by(SUB)
+            .map(|start| {
+                let mut bb = SegAabb::EMPTY;
+                // Include both endpoints of every segment in the sub-box.
+                for &p in &dedup[start..=(start + SUB).min(nseg)] {
+                    bb.include(p);
+                }
+                bb
+            })
+            .collect();
+        let chunks: Vec<SegAabb> = subs
+            .chunks(SUBS_PER_CHUNK)
+            .map(|group| group.iter().fold(SegAabb::EMPTY, |bb, &sub| bb.union(sub)))
+            .collect();
+        let bounds = chunks.iter().fold(SegAabb::EMPTY, |bb, &c| bb.union(c));
         Polyline {
             points: dedup,
             cum,
             chunks,
+            subs,
             bounds,
         }
     }
@@ -144,6 +171,11 @@ impl Polyline {
     /// The unit tangent direction at arc length `s`.
     pub fn tangent_at(&self, s: Meters) -> Vec2 {
         let (i, _) = self.locate(s.get());
+        self.segment_direction(i)
+    }
+
+    /// The unit direction of segment `i`.
+    fn segment_direction(&self, i: usize) -> Vec2 {
         (self.points[i + 1] - self.points[i])
             .normalized()
             .expect("distinct points")
@@ -156,7 +188,11 @@ impl Polyline {
 
     /// The pose (point + tangent heading) at arc length `s`.
     pub fn pose_at(&self, s: Meters) -> Pose2 {
-        Pose2::new(self.point_at(s), self.heading_at(s))
+        let (i, t) = self.locate(s.get());
+        Pose2::new(
+            self.points[i].lerp(self.points[i + 1], t),
+            self.segment_direction(i).heading(),
+        )
     }
 
     /// Point offset laterally from the centreline at arc length `s`
@@ -207,12 +243,12 @@ impl Polyline {
     /// The chunk scan behind every projection. `bound` must be no smaller
     /// than the squared distance of some candidate in the search it is
     /// part of (one vertex distance, or a lane already projected): any
-    /// chunk whose box lower bound exceeds min(bound, running best) — with
-    /// [`PRUNE_SLACK`] absorbing float rounding — contains only candidates
-    /// that can never *strictly* beat that candidate. Skipping them
-    /// preserves the first-minimal-segment tie-break exactly. When every
-    /// chunk is skipped the distance is infinite and the polyline loses to
-    /// the candidate behind `bound`.
+    /// chunk or sub-box whose box lower bound exceeds min(bound, running
+    /// best) — with [`PRUNE_SLACK`] absorbing float rounding — contains
+    /// only candidates that can never *strictly* beat that candidate.
+    /// Skipping them preserves the first-minimal-segment tie-break
+    /// exactly. When every chunk is skipped the distance is infinite and
+    /// the polyline loses to the candidate behind `bound`.
     pub(crate) fn project_within(&self, p: Vec2, bound: f64) -> (Meters, Meters, Meters) {
         let mut best_d2 = f64::INFINITY;
         let mut best_s = 0.0;
@@ -223,22 +259,26 @@ impl Polyline {
             if bb.dist2_lower(p) * PRUNE_SLACK > best_d2.min(bound) {
                 continue;
             }
-            let start = ci * CHUNK;
-            for i in start..(start + CHUNK).min(nseg) {
-                let (t, q) = p.project_onto_segment(self.points[i], self.points[i + 1]);
-                let d2 = (p - q).length_squared();
-                if d2 < best_d2 {
-                    best_d2 = d2;
-                    best_seg = i;
-                    best_point = q;
-                    best_s = self.cum[i] + (self.cum[i + 1] - self.cum[i]) * t;
+            let first = ci * SUBS_PER_CHUNK;
+            let last = (first + SUBS_PER_CHUNK).min(self.subs.len());
+            for (j, sub) in self.subs[first..last].iter().enumerate() {
+                if sub.dist2_lower(p) * PRUNE_SLACK > best_d2.min(bound) {
+                    continue;
+                }
+                let start = (first + j) * SUB;
+                for i in start..(start + SUB).min(nseg) {
+                    let (t, q) = p.project_onto_segment(self.points[i], self.points[i + 1]);
+                    let d2 = (p - q).length_squared();
+                    if d2 < best_d2 {
+                        best_d2 = d2;
+                        best_seg = i;
+                        best_point = q;
+                        best_s = self.cum[i] + (self.cum[i + 1] - self.cum[i]) * t;
+                    }
                 }
             }
         }
-        let seg_dir = (self.points[best_seg + 1] - self.points[best_seg])
-            .normalized()
-            .expect("distinct points");
-        let lateral = seg_dir.cross(p - best_point);
+        let lateral = self.segment_direction(best_seg).cross(p - best_point);
         (
             Meters::new(best_s),
             Meters::new(lateral),

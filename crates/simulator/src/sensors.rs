@@ -86,6 +86,29 @@ pub fn obb_overlap(
     true
 }
 
+/// Clearance the collision broad phase adds to the sum of two
+/// circumradii before it skips the SAT test of a pair.
+const BROAD_PHASE_MARGIN: f64 = 1.0;
+
+/// Radius of the disc around a box's centre that holds the whole box:
+/// ½·hypot(length, width).
+#[inline]
+pub(crate) fn circumradius(len: Meters, wid: Meters) -> f64 {
+    0.5 * (len.get() * len.get() + wid.get() * wid.get()).sqrt()
+}
+
+/// Broad phase of [`obb_overlap`]: `true` when the centres lie farther
+/// apart than the two circumradii plus [`BROAD_PHASE_MARGIN`]. Each box
+/// lies inside its disc, so disjoint discs mean disjoint boxes, at least
+/// the margin apart; for such a pair `obb_overlap` is `false`, and the
+/// caller may take that answer without running it. A NaN centre is never
+/// culled.
+#[inline]
+pub(crate) fn discs_apart(a: Vec2, radius_a: f64, b: Vec2, radius_b: f64) -> bool {
+    let reach = radius_a + radius_b + BROAD_PHASE_MARGIN;
+    (b - a).length_squared() > reach * reach
+}
+
 /// Tracks contact state so each collision is reported once per contact
 /// episode (contact must break before the same pair can fire again) —
 /// matching how CARLA's collision sensor emits discrete events.
@@ -121,7 +144,9 @@ impl CollisionTracker {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rdsim_units::Radians;
+    use rdsim_vehicle::VehicleSpec;
 
     fn pose(x: f64, y: f64, heading: f64) -> Pose2 {
         Pose2::new(Vec2::new(x, y), Radians::new(heading))
@@ -239,5 +264,68 @@ mod tests {
         assert!(t.update(ActorId(0), ActorId(1), true));
         assert!(t.update(ActorId(0), ActorId(2), true));
         assert!(!t.update(ActorId(0), ActorId(1), true));
+    }
+
+    /// The catalogue's specs, or a custom one of the given size.
+    fn spec(kind: usize, length: f64, width: f64) -> VehicleSpec {
+        match kind {
+            0 => VehicleSpec::passenger_car(),
+            1 => VehicleSpec::van(),
+            2 => VehicleSpec::bicycle(),
+            3 => VehicleSpec::rc_model_car(),
+            _ => VehicleSpec::builder("sized")
+                .dimensions(Meters::new(length), Meters::new(width))
+                .build(),
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn broad_phase_culls_only_disjoint_boxes(
+            x in -2_000.0f64..2_000.0,
+            y in -2_000.0f64..2_000.0,
+            headings in (-7.0f64..7.0, -7.0f64..7.0),
+            // 0: both headings random; 1: a's corner aimed at b's centre;
+            // 2: both corners aimed at each other, the closest the boxes
+            // come for their centre distance.
+            aim in 0u8..3,
+            bearing in -3.2f64..3.2,
+            // Centre distance past the cull threshold: a few cases short
+            // of it (not culled), most within a few metres beyond it.
+            beyond in -0.5f64..3.0,
+            kinds in (0usize..6, 0usize..6),
+            size in (0.2f64..14.0, 0.2f64..3.5),
+        ) {
+            let a = spec(kinds.0, size.0, size.1);
+            let b = spec(kinds.1, size.1 * 3.0, size.0 / 4.0);
+            let (ra, rb) = (
+                circumradius(a.length(), a.width()),
+                circumradius(b.length(), b.width()),
+            );
+            let pa = Vec2::new(x, y);
+            let reach = ra + rb + BROAD_PHASE_MARGIN + beyond;
+            let pb = pa + Vec2::new(bearing.cos(), bearing.sin()) * reach;
+            // The heading that points the (+l, +w) corner along `toward`,
+            // turned by a milliradian-scale jitter.
+            let corner_at = |spec: &VehicleSpec, toward: f64, jitter: f64| {
+                toward - spec.width().get().atan2(spec.length().get()) + jitter * 1e-3
+            };
+            let heading_a = if aim >= 1 { corner_at(&a, bearing, headings.0) } else { headings.0 };
+            let heading_b = if aim == 2 {
+                corner_at(&b, bearing + std::f64::consts::PI, headings.1)
+            } else {
+                headings.1
+            };
+            if discs_apart(pa, ra, pb, rb) {
+                prop_assert!(!obb_overlap(
+                    Pose2::new(pa, Radians::new(heading_a)),
+                    a.length(),
+                    a.width(),
+                    Pose2::new(pb, Radians::new(heading_b)),
+                    b.length(),
+                    b.width(),
+                ));
+            }
+        }
     }
 }

@@ -1,6 +1,6 @@
 //! The simulated world: actors, stepping, sensors, weather.
 
-use crate::sensors::CollisionTracker;
+use crate::sensors::{circumradius, discs_apart, CollisionTracker};
 use crate::{
     obb_overlap, Actor, ActorId, ActorKind, ActorSnapshot, Behavior, CollisionEvent,
     LaneInvasionEvent, WorldSnapshot,
@@ -393,19 +393,22 @@ impl World {
         let ego = &self.actors[ego_id.0 as usize];
         let ego_pose = ego.state().pose;
         let (ego_len, ego_wid) = (ego.spec().length(), ego.spec().width());
+        let ego_radius = circumradius(ego_len, ego_wid);
         let ego_speed = ego.state().speed;
         for other in &self.actors {
             if other.id() == ego_id {
                 continue;
             }
-            let touching = obb_overlap(
-                ego_pose,
-                ego_len,
-                ego_wid,
-                other.state().pose,
-                other.spec().length(),
-                other.spec().width(),
-            );
+            let pose = other.state().pose;
+            let (len, wid) = (other.spec().length(), other.spec().width());
+            // Far pairs skip the SAT test, but the tracker still sees them,
+            // so a contact episode ends exactly as before.
+            let touching = !discs_apart(
+                ego_pose.position,
+                ego_radius,
+                pose.position,
+                circumradius(len, wid),
+            ) && obb_overlap(ego_pose, ego_len, ego_wid, pose, len, wid);
             if self.collision_tracker.update(ego_id, other.id(), touching) {
                 self.collision_total += 1;
                 self.collisions.push(CollisionEvent {
