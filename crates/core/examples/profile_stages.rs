@@ -18,7 +18,7 @@ use rdsim_vehicle::{ControlInput, VehicleSpec};
 fn main() {
     let registry = rdsim_obs::Registry::new();
     let seed = 1000u64;
-    let mut world = World::new(town05(), seed);
+    let mut world = World::new(town05());
     world.spawn_ego_at("ego-start", VehicleSpec::passenger_car());
     let config = RdsSessionConfig {
         camera: CameraConfig::fixed(Hertz::new(25.0), 2_000),

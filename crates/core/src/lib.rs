@@ -2,7 +2,8 @@
 //! architecture plus a human-in-the-loop fault-injection test engine.
 //!
 //! An RDS, following the paper's §III.A (and the 5GAA reference
-//! architecture it cites), has four subsystems:
+//! architecture it cites), has a vehicle, an operator and a communication
+//! network subsystem:
 //!
 //! * **vehicle subsystem** — here the CARLA-substitute
 //!   [`rdsim_simulator::SimulatorServer`];
@@ -12,11 +13,12 @@
 //! * **communication network subsystem** — a
 //!   [`rdsim_netem::DuplexLink`] carrying video frames one way and driving
 //!   commands the other, with a [`rdsim_netem::FaultInjector`] emulating
-//!   NETEM on the loopback path (bidirectional faults, as in the paper);
-//! * **infrastructure subsystem** (optional) — roadside sensing that
-//!   augments the operator's view ([`InfrastructureSubsystem`]).
+//!   NETEM on the loopback path (bidirectional faults, as in the paper).
 //!
-//! [`RdsSession`] wires the four together in simulated time and records a
+//! The paper's optional infrastructure subsystem (roadside sensing) is not
+//! modelled: no experiment uses it.
+//!
+//! [`RdsSession`] wires the three together in simulated time and records a
 //! [`RunLog`] with exactly the paper's §V.F logging schema. [`fault`]
 //! provides the paper's fault catalog, and [`campaign`] the
 //! training/golden/faulty test protocol with randomised fault schedules.
@@ -30,7 +32,7 @@
 //! use rdsim_units::SimDuration;
 //! use rdsim_vehicle::{ControlInput, VehicleSpec};
 //!
-//! let mut world = World::new(town05(), 1);
+//! let mut world = World::new(town05());
 //! world.spawn_ego_at("ego-start", VehicleSpec::passenger_car());
 //! let mut session = RdsSession::new(world, RdsSessionConfig::default(), 1);
 //! let mut operator = ScriptedOperator::constant(ControlInput::new(0.4, 0.0, 0.0));
@@ -45,7 +47,6 @@
 pub mod campaign;
 pub mod digest;
 pub mod fault;
-mod infrastructure;
 pub mod pipeline;
 mod protocol;
 mod runlog;
@@ -56,7 +57,6 @@ mod station;
 pub use campaign::{RunKind, RunRecord, ScheduledFault};
 pub use digest::Digestible;
 pub use fault::{FaultKind, FaultSpec, PaperFault};
-pub use infrastructure::{InfrastructureSubsystem, RoadsideUnit};
 pub use pipeline::{Stage, StageContext, StepScratch};
 pub use protocol::{
     decode_command, encode_command_into, encode_command_pooled, CommandCodecError,

@@ -28,7 +28,8 @@
 
 use crate::session::SessionCore;
 use crate::{
-    decode_command, encode_command_pooled, IncidentKind, OperatorSubsystem, ReceivedFrame,
+    decode_command, encode_command_pooled, IncidentKind, OperatorSubsystem, RdsSession,
+    ReceivedFrame,
 };
 use rdsim_netem::{Packet, PacketKind};
 use rdsim_obs::{Recorder, TraceId, TraceStage, Tracer};
@@ -109,9 +110,9 @@ impl StageContext<'_> {
         self.core.time()
     }
 
-    /// The fixed simulation step.
+    /// The fixed simulation step, [`RdsSession::DT`].
     pub fn dt(&self) -> SimDuration {
-        self.core.dt
+        RdsSession::DT
     }
 
     /// The simulated world (read access).
@@ -231,8 +232,7 @@ impl Stage for VehicleStage {
     }
 
     fn advance(&mut self, ctx: &mut StageContext<'_>) {
-        let dt = ctx.core.dt;
-        ctx.core.server.advance_plant(dt);
+        ctx.core.server.advance_plant(RdsSession::DT);
         ctx.scratch.now = ctx.core.time();
     }
 }
@@ -305,8 +305,7 @@ impl Stage for UplinkStage {
 
 /// Stage 5 — station display: decodes every delivered frame (corrupted
 /// frames are rejected by checksum and surfaced as bad-frame
-/// notifications), applies the optional infrastructure augmentation, and
-/// shows good frames to the operator.
+/// notifications) and shows good frames to the operator.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct DisplayStage;
 stage_names!(DisplayStage, "display");
@@ -359,9 +358,6 @@ impl Stage for DisplayStage {
                     core.obs.window(in_window).1.inc();
                     core.tracer
                         .record(id, TraceStage::Decode, now.as_micros(), pkt.len() as u64);
-                    if let Some(infra) = &core.infrastructure {
-                        holder.snapshot = infra.augment(&holder.snapshot);
-                    }
                     let captured_at = holder.snapshot.time;
                     let age_us = now.saturating_since(captured_at).as_micros();
                     if let Some(h) = &core.obs.frame_age_us {

@@ -4,9 +4,9 @@
 //! measures are adequate, e.g., how they should be designed and when they
 //! need to intervene" (§I) — its experiments deliberately run *without*
 //! any measures. This module supplies the measures a production RDS would
-//! deploy, so the same HIL methodology can evaluate them (the ablation
-//! experiments in `rdsim-experiments` and the `safety_measures` example
-//! do exactly that):
+//! deploy, so the same HIL methodology can evaluate them (the
+//! `safety_measures` example and integration test do so; no study
+//! installs them):
 //!
 //! * [`CommandWatchdog`] — neutralise the controls when no valid command
 //!   has arrived for a bound;

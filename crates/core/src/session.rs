@@ -11,8 +11,7 @@ use crate::pipeline::{
     OperatorStage, SafetyStage, Stage, StageContext, StepScratch, UplinkStage, VehicleStage,
 };
 use crate::{
-    EgoSample, IncidentKind, IncidentMark, InfrastructureSubsystem, LeadObservation,
-    OperatorSubsystem, OtherSample, RunLog,
+    EgoSample, IncidentKind, IncidentMark, LeadObservation, OperatorSubsystem, OtherSample, RunLog,
 };
 use rdsim_netem::{
     DuplexLink, FaultInjector, InjectionAction, InjectionWindow, NetemConfig, TraceSchedule,
@@ -23,17 +22,15 @@ use rdsim_units::{Meters, SimDuration, SimTime};
 use std::sync::Arc;
 use std::time::Instant;
 
+/// Horizon for logging lead-vehicle observations (the metrics gate at
+/// 100 m downstream).
+const LEAD_LOG_HORIZON: Meters = Meters::new(150.0);
+
 /// Session configuration.
 #[derive(Debug, Clone)]
 pub struct RdsSessionConfig {
-    /// Fixed simulation step (also the command rate: one command per step).
-    pub dt: SimDuration,
     /// Camera configuration for the vehicle's video feed.
     pub camera: CameraConfig,
-    /// Horizon for logging lead-vehicle observations.
-    pub lead_log_horizon: Meters,
-    /// Optional infrastructure subsystem augmenting the operator's view.
-    pub infrastructure: Option<InfrastructureSubsystem>,
     /// Telemetry recorder. Defaults to the null recorder, which keeps the
     /// session's own counters working but records nothing else.
     pub recorder: Recorder,
@@ -52,14 +49,11 @@ pub struct RdsSessionConfig {
 }
 
 impl Default for RdsSessionConfig {
-    /// 50 Hz stepping/commands, the paper's 25–30 fps camera, 150 m lead
-    /// logging horizon (metrics gate at 100 m downstream).
+    /// The paper's 25–30 fps camera, the null recorder, the flight
+    /// recorder as tracer and no timeline.
     fn default() -> Self {
         RdsSessionConfig {
-            dt: SimDuration::from_millis(20),
             camera: CameraConfig::default(),
-            lead_log_horizon: Meters::new(150.0),
-            infrastructure: None,
             recorder: Recorder::null(),
             tracer: Tracer::flight_recorder(),
             timeline: false,
@@ -190,9 +184,6 @@ pub(crate) struct SessionCore {
     pub(crate) server: SimulatorServer,
     pub(crate) link: DuplexLink,
     pub(crate) injector: FaultInjector,
-    pub(crate) dt: SimDuration,
-    pub(crate) lead_log_horizon: Meters,
-    pub(crate) infrastructure: Option<InfrastructureSubsystem>,
     pub(crate) log: RunLog,
     pub(crate) recorder: Recorder,
     pub(crate) tracer: Tracer,
@@ -445,7 +436,7 @@ impl SessionCore {
         let ego = world.actor(ego_id);
         let control = ego.applied_control();
         let lead = world
-            .ego_lead_gap(self.lead_log_horizon)
+            .ego_lead_gap(LEAD_LOG_HORIZON)
             .map(|(actor, gap, closing)| LeadObservation {
                 actor,
                 gap,
@@ -605,6 +596,10 @@ pub struct RdsSession {
 }
 
 impl RdsSession {
+    /// The fixed simulation step, 20 ms: the session steps at 50 Hz and
+    /// the station sends one command per step.
+    pub const DT: SimDuration = SimDuration::from_millis(20);
+
     /// Creates a session around a world with a spawned ego vehicle,
     /// running the default stage pipeline.
     ///
@@ -625,9 +620,6 @@ impl RdsSession {
                 server,
                 link,
                 injector: FaultInjector::new(),
-                dt: config.dt,
-                lead_log_horizon: config.lead_log_horizon,
-                infrastructure: config.infrastructure,
                 log: RunLog::new(),
                 recorder,
                 tracer,
@@ -735,12 +727,6 @@ impl RdsSession {
         &self.core.server
     }
 
-    /// Mutable access to the server (e.g. to enable the neutral-fallback
-    /// safety hook).
-    pub fn server_mut(&mut self) -> &mut SimulatorServer {
-        &mut self.core.server
-    }
-
     /// Transport statistics so far (a read-out of the live counters).
     pub fn stats(&self) -> SessionStats {
         SessionStats {
@@ -787,9 +773,9 @@ impl RdsSession {
         self.core.time()
     }
 
-    /// The session step.
+    /// The session step, [`RdsSession::DT`].
     pub fn dt(&self) -> SimDuration {
-        self.core.dt
+        Self::DT
     }
 
     /// Schedules a fault window.
@@ -848,7 +834,7 @@ impl RdsSession {
     /// capture→…→actuate step performs zero heap allocations (see the
     /// `alloc_regression` suite).
     pub fn preallocate(&mut self, duration: SimDuration) {
-        let steps = duration.div_steps(self.core.dt) as usize;
+        let steps = duration.div_steps(Self::DT) as usize;
         let world = self.core.server.world();
         let movers = world
             .actors()
@@ -911,7 +897,7 @@ impl RdsSession {
 
     /// Runs for a duration (rounded down to whole steps).
     pub fn run(&mut self, operator: &mut dyn OperatorSubsystem, duration: SimDuration) {
-        for _ in 0..duration.div_steps(self.core.dt) {
+        for _ in 0..duration.div_steps(Self::DT) {
             self.step(operator);
         }
     }
@@ -954,7 +940,7 @@ mod tests {
     use rdsim_vehicle::{ControlInput, VehicleSpec};
 
     fn session_with_lead(seed: u64) -> RdsSession {
-        let mut world = World::new(town05(), seed);
+        let mut world = World::new(town05());
         world.spawn_ego_at("ego-start", VehicleSpec::passenger_car());
         world.spawn_npc_at(
             "lead-start",
@@ -1147,63 +1133,8 @@ mod tests {
         assert_eq!(log.fault_events()[1].time, SimTime::from_secs(5));
     }
 
-    #[test]
-    fn infrastructure_augments_operator_view() {
-        use crate::{InfrastructureSubsystem, ReceivedFrame, RoadsideUnit};
-        use rdsim_math::Vec2;
-
-        // Vehicle camera limited to 50 m; the parked van 230 m ahead is
-        // only visible through the roadside unit.
-        let build = |with_unit: bool| {
-            let mut world = World::new(town05(), 7);
-            world.spawn_ego_at("ego-start", VehicleSpec::passenger_car());
-            world.spawn_npc_at(
-                "slalom-1",
-                ActorKind::Vehicle,
-                VehicleSpec::van(),
-                Behavior::Stationary,
-                MetersPerSecond::ZERO,
-            );
-            let mut infra = InfrastructureSubsystem::new();
-            infra.set_vehicle_visibility(Some(Meters::new(50.0)));
-            if with_unit {
-                infra.add_unit(RoadsideUnit::new(Vec2::new(250.0, 0.0), Meters::new(60.0)));
-            }
-            let config = RdsSessionConfig {
-                camera: CameraConfig::fixed(Hertz::new(25.0), 2_000),
-                infrastructure: Some(infra),
-                ..RdsSessionConfig::default()
-            };
-            RdsSession::new(world, config, 7)
-        };
-
-        struct CountingOp {
-            saw_van: bool,
-        }
-        impl OperatorSubsystem for CountingOp {
-            fn on_frame(&mut self, frame: ReceivedFrame) {
-                if !frame.snapshot.others.is_empty() {
-                    self.saw_van = true;
-                }
-            }
-            fn command(&mut self, _now: SimTime) -> ControlInput {
-                ControlInput::COAST
-            }
-        }
-
-        let mut without = build(false);
-        let mut op1 = CountingOp { saw_van: false };
-        without.run(&mut op1, SimDuration::from_secs(2));
-        assert!(!op1.saw_van, "van hidden beyond vehicle visibility");
-
-        let mut with = build(true);
-        let mut op2 = CountingOp { saw_van: false };
-        with.run(&mut op2, SimDuration::from_secs(2));
-        assert!(op2.saw_van, "roadside unit reveals the van");
-    }
-
     fn recorded_session_with_lead(seed: u64, recorder: Recorder) -> RdsSession {
-        let mut world = World::new(town05(), seed);
+        let mut world = World::new(town05());
         world.spawn_ego_at("ego-start", VehicleSpec::passenger_car());
         world.spawn_npc_at(
             "lead-start",
@@ -1419,7 +1350,7 @@ mod tests {
 
     #[test]
     fn null_tracer_disables_tracing() {
-        let mut world = World::new(town05(), 15);
+        let mut world = World::new(town05());
         world.spawn_ego_at("ego-start", VehicleSpec::passenger_car());
         let config = RdsSessionConfig {
             camera: CameraConfig::fixed(Hertz::new(25.0), 2_000),

@@ -47,7 +47,7 @@ fn stress_config() -> NetemConfig {
 
 fn session(recorder: Recorder) -> RdsSession {
     let seed = 7_777;
-    let mut world = World::new(town05(), seed);
+    let mut world = World::new(town05());
     world.spawn_ego_at("ego-start", VehicleSpec::passenger_car());
     let config = RdsSessionConfig {
         camera: CameraConfig::fixed(Hertz::new(25.0), 2_000),

@@ -10,7 +10,7 @@ use rdsim_units::{Hertz, Millis, Ratio, SimDuration, SimTime};
 use rdsim_vehicle::{ControlInput, VehicleSpec};
 
 fn session(seed: u64) -> RdsSession {
-    let mut world = World::new(town05(), seed);
+    let mut world = World::new(town05());
     world.spawn_ego_at("ego-start", VehicleSpec::passenger_car());
     let config = RdsSessionConfig {
         camera: CameraConfig::fixed(Hertz::new(25.0), 2_000),
@@ -163,7 +163,7 @@ fn combined_delay_plus_loss_rule_degrades_both_ways() {
         .with_delay(Millis::new(50.0))
         .with_loss(Ratio::from_percent(30.0));
     let registry = rdsim_obs::Registry::new();
-    let mut world = World::new(town05(), 6);
+    let mut world = World::new(town05());
     world.spawn_ego_at("ego-start", VehicleSpec::passenger_car());
     let config = RdsSessionConfig {
         camera: CameraConfig::fixed(Hertz::new(25.0), 2_000),

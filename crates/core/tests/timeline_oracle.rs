@@ -31,7 +31,7 @@ fn stress_config() -> NetemConfig {
 
 fn run() -> (Timeline, RunTelemetry) {
     let seed = 4_242;
-    let mut world = World::new(town05(), seed);
+    let mut world = World::new(town05());
     world.spawn_ego_at("ego-start", VehicleSpec::passenger_car());
     let registry = Registry::new();
     let config = RdsSessionConfig {

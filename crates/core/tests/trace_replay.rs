@@ -32,7 +32,7 @@ fn dense_trace() -> TraceSchedule {
 }
 
 fn session(seed: u64, trace: &TraceSchedule, registry: Option<&Registry>) -> RdsSession {
-    let mut world = World::new(town05(), seed);
+    let mut world = World::new(town05());
     world.spawn_ego_at("ego-start", VehicleSpec::passenger_car());
     let mut config = RdsSessionConfig {
         camera: CameraConfig::fixed(Hertz::new(25.0), 2_000),
@@ -113,7 +113,7 @@ fn overload_surfaces_queue_drops_distinct_from_loss() {
     let trace = TraceSchedule::parse("choke", text).unwrap();
 
     let seed = 33;
-    let mut world = World::new(town05(), seed);
+    let mut world = World::new(town05());
     world.spawn_ego_at("ego-start", VehicleSpec::passenger_car());
     let registry = Registry::new();
     let config = RdsSessionConfig {

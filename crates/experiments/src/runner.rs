@@ -15,7 +15,7 @@ use rdsim_netem::{InjectionWindow, TraceSchedule};
 use rdsim_obs::{Recorder, Registry, RunTelemetry, Timeline, TraceLog, Tracer};
 use rdsim_operator::{HumanDriverModel, Instruction, SubjectProfile};
 use rdsim_roadnet::town05;
-use rdsim_simulator::{ActorId, ActorKind, Behavior, CameraConfig, LaneFollowConfig, World};
+use rdsim_simulator::{ActorId, ActorKind, Behavior, LaneFollowConfig, World};
 use rdsim_units::{MetersPerSecond, SimDuration, SimTime};
 use rdsim_vehicle::VehicleSpec;
 
@@ -33,10 +33,6 @@ pub struct ScenarioConfig {
     pub highway_speed: MetersPerSecond,
     /// Cruise speed of the dynamic lead vehicle.
     pub lead_speed: MetersPerSecond,
-    /// Camera (video feed) configuration.
-    pub camera: CameraConfig,
-    /// Simulation step.
-    pub dt: SimDuration,
     /// Hard wall-clock guard per run.
     pub max_duration: SimDuration,
     /// The ego plant.
@@ -60,8 +56,8 @@ pub struct ScenarioConfig {
     /// default: the run then uses the null recorder throughout.
     pub telemetry: bool,
     /// Retain the session's flight-recorder snapshot in
-    /// [`RunOutput::trace`], with the ring deepened to
-    /// [`TRACE_EXPORT_CAPACITY`] so a full paper-style run fits without
+    /// [`RunOutput::trace`], with the ring deepened to 2¹⁸ events
+    /// (`TRACE_EXPORT_CAPACITY`) so a full paper-style run fits without
     /// overwriting its early incidents. Without it the run records a
     /// trace only under [`telemetry`](Self::telemetry), whose
     /// `session.trace.*` counters read the default flight recorder; with
@@ -82,7 +78,7 @@ pub struct ScenarioConfig {
 /// Ring depth for runs whose trace is retained ([`ScenarioConfig::trace`]):
 /// a full two-lap run records ~170 k events, so 2¹⁸ holds it whole
 /// (~8 MiB; the default flight recorder stays at its much smaller bound).
-pub const TRACE_EXPORT_CAPACITY: usize = 1 << 18;
+const TRACE_EXPORT_CAPACITY: usize = 1 << 18;
 
 impl Default for ScenarioConfig {
     /// The full paper-style run: two laps (~6 sim-minutes of driving).
@@ -93,8 +89,6 @@ impl Default for ScenarioConfig {
             urban_speed: MetersPerSecond::new(12.0),
             highway_speed: MetersPerSecond::new(18.0),
             lead_speed: MetersPerSecond::new(9.5),
-            camera: CameraConfig::default(),
-            dt: SimDuration::from_millis(20),
             max_duration: SimDuration::from_secs(900),
             vehicle: VehicleSpec::passenger_car(),
             ambient_fault: None,
@@ -185,7 +179,7 @@ fn build_run(
     let plan = ScenarioPlan::town05();
 
     // --- World and actors.
-    let mut world = World::new(net.clone(), seed);
+    let mut world = World::new(net.clone());
     world.spawn_ego_at("ego-start", config.vehicle.clone());
     let lead = if kind == RunKind::Training {
         None
@@ -241,8 +235,6 @@ fn build_run(
     // --- Session and driver.
     let registry = config.telemetry.then(Registry::new);
     let session_config = RdsSessionConfig {
-        dt: config.dt,
-        camera: config.camera,
         recorder: registry
             .as_ref()
             .map(Registry::recorder)
@@ -308,7 +300,7 @@ fn build_run(
         ego_pos(&session, ego),
         world.projection(ego),
     );
-    let max_steps = config.max_duration.div_steps(config.dt);
+    let max_steps = config.max_duration.div_steps(session.dt());
 
     let controller = ProtocolDriver {
         kind,

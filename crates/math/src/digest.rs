@@ -65,11 +65,6 @@ impl StableHasher {
         self.write_raw(&v.to_le_bytes());
     }
 
-    /// Writes an `i64` (little-endian two's complement).
-    pub fn write_i64(&mut self, v: i64) {
-        self.write_raw(&v.to_le_bytes());
-    }
-
     /// Writes a `usize` widened to 64 bits, so 32- and 64-bit builds agree.
     pub fn write_usize(&mut self, v: usize) {
         self.write_u64(v as u64);

@@ -114,101 +114,6 @@ impl ButterworthLowPass {
     }
 }
 
-/// A simple windowed moving average.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MovingAverage {
-    window: usize,
-    buf: Vec<f64>,
-    next: usize,
-    filled: usize,
-    sum: f64,
-}
-
-impl MovingAverage {
-    /// Creates a moving average over `window` samples.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `window` is zero.
-    pub fn new(window: usize) -> Self {
-        assert!(window > 0, "window must be non-zero");
-        MovingAverage {
-            window,
-            buf: vec![0.0; window],
-            next: 0,
-            filled: 0,
-            sum: 0.0,
-        }
-    }
-
-    /// Pushes a sample and returns the current average.
-    pub fn apply(&mut self, x: f64) -> f64 {
-        if self.filled == self.window {
-            self.sum -= self.buf[self.next];
-        } else {
-            self.filled += 1;
-        }
-        self.buf[self.next] = x;
-        self.sum += x;
-        self.next = (self.next + 1) % self.window;
-        self.sum / self.filled as f64
-    }
-
-    /// Current average over the filled portion of the window; 0 when empty.
-    pub fn value(&self) -> f64 {
-        if self.filled == 0 {
-            0.0
-        } else {
-            self.sum / self.filled as f64
-        }
-    }
-}
-
-/// Limits the rate of change of a signal (e.g. a steering actuator that can
-/// slew at most `max_rate_per_sec` units per second).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RateLimiter {
-    max_rate_per_sec: f64,
-    state: Option<f64>,
-}
-
-impl RateLimiter {
-    /// Creates a limiter with the given maximum slew rate (units/second).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `max_rate_per_sec` is not positive.
-    pub fn new(max_rate_per_sec: f64) -> Self {
-        assert!(max_rate_per_sec > 0.0, "rate must be positive");
-        RateLimiter {
-            max_rate_per_sec,
-            state: None,
-        }
-    }
-
-    /// Advances the limiter by `dt` toward `target`, returning the limited
-    /// output. The first call initialises the state to `target` directly.
-    pub fn apply(&mut self, target: f64, dt: Seconds) -> f64 {
-        let max_step = self.max_rate_per_sec * dt.get();
-        let out = match self.state {
-            None => target,
-            Some(prev) => prev + (target - prev).clamp(-max_step, max_step),
-        };
-        self.state = Some(out);
-        out
-    }
-
-    /// Current output, if any sample has been processed.
-    pub fn value(&self) -> Option<f64> {
-        self.state
-    }
-
-    /// Resets to the uninitialised state.
-    pub fn reset(&mut self) {
-        self.state = None;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -292,37 +197,6 @@ mod tests {
         let _ = ButterworthLowPass::new(Hertz::new(100.0), DT);
     }
 
-    #[test]
-    fn moving_average_basics() {
-        let mut m = MovingAverage::new(3);
-        assert_eq!(m.value(), 0.0);
-        assert_eq!(m.apply(3.0), 3.0);
-        assert_eq!(m.apply(6.0), 4.5);
-        assert_eq!(m.apply(9.0), 6.0);
-        // Window rolls: (6 + 9 + 12) / 3.
-        assert_eq!(m.apply(12.0), 9.0);
-        assert_eq!(m.value(), 9.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "window")]
-    fn zero_window_panics() {
-        let _ = MovingAverage::new(0);
-    }
-
-    #[test]
-    fn rate_limiter_clamps_slew() {
-        let mut r = RateLimiter::new(1.0); // 1 unit per second
-        assert_eq!(r.apply(5.0, Seconds::new(0.1)), 5.0); // first sample passes
-        let y = r.apply(10.0, Seconds::new(0.1));
-        assert!((y - 5.1).abs() < 1e-12);
-        let y = r.apply(0.0, Seconds::new(0.1));
-        assert!((y - 5.0).abs() < 1e-12);
-        assert_eq!(r.value(), Some(y));
-        r.reset();
-        assert_eq!(r.value(), None);
-    }
-
     proptest! {
         #[test]
         fn filtered_bounded_signal_stays_bounded(signal in proptest::collection::vec(-1.0f64..1.0, 10..300)) {
@@ -330,20 +204,6 @@ mod tests {
             for y in out {
                 // A Butterworth LPF has small overshoot; 2x bound is generous.
                 prop_assert!(y.abs() < 2.0);
-            }
-        }
-
-        #[test]
-        fn rate_limited_steps_respect_rate(targets in proptest::collection::vec(-10.0f64..10.0, 2..100)) {
-            let mut r = RateLimiter::new(2.0);
-            let dt = Seconds::new(0.05);
-            let mut prev: Option<f64> = None;
-            for t in targets {
-                let y = r.apply(t, dt);
-                if let Some(p) = prev {
-                    prop_assert!((y - p).abs() <= 2.0 * 0.05 + 1e-12);
-                }
-                prev = Some(y);
             }
         }
     }

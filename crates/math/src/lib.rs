@@ -41,8 +41,8 @@ mod rng;
 mod stats;
 
 pub use digest::{stable_digest, StableHasher};
-pub use filter::{ButterworthLowPass, MovingAverage, RateLimiter};
+pub use filter::ButterworthLowPass;
 pub use geometry::{Pose2, Vec2};
-pub use interp::{lerp, resample_uniform, unlerp, Sample};
+pub use interp::{lerp, Sample};
 pub use rng::{RngStream, SplitMix64, Xoshiro256StarStar};
 pub use stats::{percentile_sorted, summary, RunningStats, Summary};

@@ -30,4 +30,4 @@ pub use collision::{CollisionAnalysis, CrashAttribution};
 pub use profile::{traversal_time, SteeringProfile};
 pub use srr::{steering_reversal_rate, SrrConfig, SrrResult};
 pub use ttc::{headway_series, ttc_series, TtcConfig, TtcSample, TtcStats};
-pub use windows::{slice_samples, srr_for_fault, ttc_stats_for_fault, window_duration};
+pub use windows::{slice_samples, srr_for_fault, ttc_stats_for_fault};

@@ -21,11 +21,6 @@ pub fn slice_samples(samples: &[Sample], windows: &[InjectionWindow]) -> Vec<Sam
         .collect()
 }
 
-/// Total duration covered by a set of (non-overlapping) windows.
-pub fn window_duration(windows: &[InjectionWindow]) -> Seconds {
-    Seconds::new(windows.iter().map(|w| w.duration.as_secs_f64()).sum())
-}
-
 /// TTC statistics restricted to the windows where `fault` was active in a
 /// faulty run. Returns `None` when the fault was never injected or no TTC
 /// was observable during its windows (a "-" cell in Table III).
@@ -108,10 +103,6 @@ mod tests {
         let sliced = slice_samples(&samples, &[window(10, 5), window(50, 2)]);
         let ts: Vec<f64> = sliced.iter().map(|s| s.t).collect();
         assert_eq!(ts, vec![10.0, 11.0, 12.0, 13.0, 14.0, 50.0, 51.0]);
-        assert_eq!(
-            window_duration(&[window(10, 5), window(50, 2)]),
-            Seconds::new(7.0)
-        );
     }
 
     fn record_with_fault(fault: PaperFault, start: u64, dur: u64) -> RunRecord {

@@ -113,7 +113,9 @@ impl InjectionWindow {
 pub struct FaultInjector {
     windows: Vec<InjectionWindow>,
     log: Vec<InjectionEvent>,
-    active: Option<usize>,
+    /// The open window, kept by value: scheduling a window that sorts
+    /// before it moves it to another index.
+    active: Option<InjectionWindow>,
     /// Every window before this index had ended at an earlier
     /// [`advance`](Self::advance), so none of them can open again. A
     /// window scheduled later that sorts before one of them must end by
@@ -180,7 +182,7 @@ impl FaultInjector {
 
     /// The currently active window, if any.
     pub fn active_window(&self) -> Option<&InjectionWindow> {
-        self.active.map(|i| &self.windows[i])
+        self.active.as_ref()
     }
 
     /// `true` while any fault rule is applied — a scheduled window or an
@@ -200,8 +202,7 @@ impl FaultInjector {
             "advance: time went backwards"
         );
         // Close the active window if its time has passed.
-        if let Some(idx) = self.active {
-            let w = self.windows[idx];
+        if let Some(w) = self.active {
             if now >= w.end() {
                 link.set_both(NetemConfig::passthrough());
                 self.log.push(InjectionEvent {
@@ -221,8 +222,7 @@ impl FaultInjector {
             while self.windows.get(self.next).is_some_and(|w| w.end() <= now) {
                 self.next += 1;
             }
-            let idx = self.next;
-            if let Some(&w) = self.windows.get(idx).filter(|w| w.contains(now)) {
+            if let Some(&w) = self.windows.get(self.next).filter(|w| w.contains(now)) {
                 link.set_both(w.config);
                 self.log.push(InjectionEvent {
                     time: now.max(w.start),
@@ -230,7 +230,7 @@ impl FaultInjector {
                     action: InjectionAction::Added,
                     direction: Direction::Both,
                 });
-                self.active = Some(idx);
+                self.active = Some(w);
             }
         }
     }
@@ -447,5 +447,39 @@ mod tests {
         inj.advance(&mut link, SimTime::from_secs(5));
         assert!(inj.active_window().is_some());
         assert_eq!(inj.log()[0].time, SimTime::from_secs(5));
+    }
+
+    #[test]
+    fn scheduling_a_past_window_keeps_the_active_one() {
+        // A window that sorts before the open one moves it one index on;
+        // the open window must still be the one that closes.
+        let mut link = DuplexLink::new(1);
+        let mut inj = FaultInjector::new();
+        let open = InjectionWindow::new(
+            SimTime::from_secs(10),
+            SimDuration::from_secs(10),
+            delay_rule(50.0),
+        );
+        inj.schedule(open).unwrap();
+        inj.advance(&mut link, SimTime::from_secs(12));
+        inj.schedule(InjectionWindow::new(
+            SimTime::from_secs(1),
+            SimDuration::from_secs(2),
+            delay_rule(5.0),
+        ))
+        .unwrap();
+        inj.advance(&mut link, SimTime::from_secs(13));
+        assert_eq!(inj.active_window(), Some(&open));
+        assert_eq!(link.uplink.config(), &delay_rule(50.0));
+        assert_eq!(inj.log().len(), 1);
+        assert_eq!(inj.log()[0].time, SimTime::from_secs(12));
+        assert_eq!(inj.log()[0].action, InjectionAction::Added);
+
+        inj.advance(&mut link, SimTime::from_secs(20));
+        assert!(inj.active_window().is_none());
+        assert_eq!(inj.log().len(), 2);
+        assert_eq!(inj.log()[1].time, SimTime::from_secs(20));
+        assert_eq!(inj.log()[1].action, InjectionAction::Deleted);
+        assert_eq!(inj.log()[1].config, delay_rule(50.0));
     }
 }

@@ -60,5 +60,5 @@ pub use link::{DuplexLink, Link, LinkStats};
 pub use packet::{Packet, PacketKind};
 pub use parser::ParseRuleError;
 pub use pool::{BufPool, PooledBuf};
-pub use qdisc::{FifoQdisc, NetemQdisc, Qdisc};
+pub use qdisc::NetemQdisc;
 pub use trace::{TraceParseError, TraceSample, TraceSchedule};

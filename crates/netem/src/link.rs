@@ -1,6 +1,6 @@
 //! Emulated links: unidirectional and duplex.
 
-use crate::{NetemConfig, NetemQdisc, Packet, Qdisc};
+use crate::{NetemConfig, NetemQdisc, Packet};
 use rdsim_obs::{Histogram, Recorder, Tracer};
 use rdsim_units::{SimDuration, SimTime};
 use std::sync::Arc;

@@ -1,51 +1,10 @@
-//! Queuing disciplines: FIFO and the NETEM fault-injecting qdisc.
+//! The NETEM fault-injecting queuing discipline.
 
 use crate::{LossConfig, NetemConfig, Packet};
 use rdsim_math::RngStream;
 use rdsim_obs::{Counter, Recorder, TraceStage, Tracer};
 use rdsim_units::{SimDuration, SimTime};
 use std::collections::BinaryHeap;
-
-/// A queuing discipline: packets go in at `enqueue` time and come out of
-/// `dequeue` once their release time has passed.
-///
-/// This trait is object-safe so links can swap disciplines at runtime.
-pub trait Qdisc: std::fmt::Debug + Send {
-    /// Offers a packet to the discipline at simulation time `now`.
-    ///
-    /// Returns the number of queue entries created (0 if the packet was
-    /// dropped by a loss fault, 2 if a duplication fault copied it).
-    fn enqueue(&mut self, packet: Packet, now: SimTime) -> usize;
-
-    /// Removes and returns every packet whose release time is `<= now`,
-    /// in release order.
-    ///
-    /// Convenience wrapper over [`Qdisc::dequeue_into`]; the per-step
-    /// datapath calls the `_into` variant with a reused buffer instead.
-    fn dequeue(&mut self, now: SimTime) -> Vec<Packet> {
-        let mut out = Vec::new();
-        self.dequeue_into(now, &mut out);
-        out
-    }
-
-    /// Appends every packet whose release time is `<= now` to `out`, in
-    /// release order. Allocation-free when `out` has spare capacity.
-    fn dequeue_into(&mut self, now: SimTime, out: &mut Vec<Packet>);
-
-    /// Number of packets currently queued.
-    fn len(&self) -> usize;
-
-    /// `true` if no packets are queued.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Release time of the earliest queued packet, if any.
-    fn next_release(&self) -> Option<SimTime>;
-
-    /// Drops all queued packets (used when tearing a link down).
-    fn clear(&mut self);
-}
 
 /// Telemetry handles for one qdisc, present only while a live recorder is
 /// attached — the disabled path carries no handles and touches no atomics.
@@ -96,43 +55,6 @@ impl Ord for QueueEntry {
 impl PartialOrd for QueueEntry {
     fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
         Some(self.cmp(other))
-    }
-}
-
-/// A plain FIFO discipline with zero delay: models the fault-free loopback
-/// path of the paper's test rig.
-#[derive(Debug, Default)]
-pub struct FifoQdisc {
-    queue: std::collections::VecDeque<Packet>,
-}
-
-impl FifoQdisc {
-    /// Creates an empty FIFO.
-    pub fn new() -> Self {
-        FifoQdisc::default()
-    }
-}
-
-impl Qdisc for FifoQdisc {
-    fn enqueue(&mut self, packet: Packet, _now: SimTime) -> usize {
-        self.queue.push_back(packet);
-        1
-    }
-
-    fn dequeue_into(&mut self, _now: SimTime, out: &mut Vec<Packet>) {
-        out.extend(self.queue.drain(..));
-    }
-
-    fn len(&self) -> usize {
-        self.queue.len()
-    }
-
-    fn next_release(&self) -> Option<SimTime> {
-        self.queue.front().map(|p| p.sent_at)
-    }
-
-    fn clear(&mut self) {
-        self.queue.clear();
     }
 }
 
@@ -398,10 +320,13 @@ impl NetemQdisc {
             packet,
         });
     }
-}
 
-impl Qdisc for NetemQdisc {
-    fn enqueue(&mut self, mut packet: Packet, now: SimTime) -> usize {
+    /// Offers a packet to the discipline at simulation time `now`.
+    ///
+    /// Returns the number of queue entries created (0 if the packet was
+    /// dropped by a loss fault or the finite queue, 2 if a duplication
+    /// fault copied it).
+    pub fn enqueue(&mut self, mut packet: Packet, now: SimTime) -> usize {
         if let Some(obs) = &self.obs {
             obs.enqueued.inc();
         }
@@ -528,7 +453,9 @@ impl Qdisc for NetemQdisc {
         entries
     }
 
-    fn dequeue_into(&mut self, now: SimTime, out: &mut Vec<Packet>) {
+    /// Appends every packet whose release time is `<= now` to `out`, in
+    /// release order. Allocation-free when `out` has spare capacity.
+    pub fn dequeue_into(&mut self, now: SimTime, out: &mut Vec<Packet>) {
         let start = out.len();
         while let Some(top) = self.heap.peek() {
             if top.release > now {
@@ -551,15 +478,23 @@ impl Qdisc for NetemQdisc {
         }
     }
 
-    fn len(&self) -> usize {
+    /// Number of packets currently queued.
+    pub fn len(&self) -> usize {
         self.heap.len()
     }
 
-    fn next_release(&self) -> Option<SimTime> {
+    /// `true` if no packets are queued.
+    pub fn is_empty(&self) -> bool {
+        self.heap.is_empty()
+    }
+
+    /// Release time of the earliest queued packet, if any.
+    pub fn next_release(&self) -> Option<SimTime> {
         self.heap.peek().map(|e| e.release)
     }
 
-    fn clear(&mut self) {
+    /// Drops all queued packets (used when tearing a link down).
+    pub fn clear(&mut self) {
         self.heap.clear();
         // Tearing the link down idles the rate limiter too; leaving
         // `rate_busy_until` in the future would leak serialization
@@ -578,8 +513,15 @@ mod tests {
         Packet::new(seq, PacketKind::Command, vec![0u8; 64])
     }
 
+    /// Removes and returns every packet whose release time is `<= now`.
+    fn dequeue(q: &mut NetemQdisc, now: SimTime) -> Vec<Packet> {
+        let mut out = Vec::new();
+        q.dequeue_into(now, &mut out);
+        out
+    }
+
     fn drain_all(q: &mut NetemQdisc) -> Vec<Packet> {
-        q.dequeue(SimTime::from_secs(3600))
+        dequeue(q, SimTime::from_secs(3600))
     }
 
     #[test]
@@ -587,7 +529,7 @@ mod tests {
         let mut q = NetemQdisc::new(1);
         let t = SimTime::from_millis(10);
         assert_eq!(q.enqueue(pkt(0), t), 1);
-        let out = q.dequeue(t);
+        let out = dequeue(&mut q, t);
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].seq, 0);
         assert!(q.is_empty());
@@ -598,9 +540,9 @@ mod tests {
         let mut q =
             NetemQdisc::with_config(NetemConfig::default().with_delay(Millis::new(50.0)), 1);
         q.enqueue(pkt(0), SimTime::ZERO);
-        assert!(q.dequeue(SimTime::from_millis(49)).is_empty());
+        assert!(dequeue(&mut q, SimTime::from_millis(49)).is_empty());
         assert_eq!(q.next_release(), Some(SimTime::from_millis(50)));
-        let out = q.dequeue(SimTime::from_millis(50));
+        let out = dequeue(&mut q, SimTime::from_millis(50));
         assert_eq!(out.len(), 1);
     }
 
@@ -799,7 +741,7 @@ mod tests {
                 (40.0 - 1e-9..=60.0 + 1e-9).contains(&ms),
                 "release {ms} ms outside 50±10"
             );
-            q.dequeue(release);
+            dequeue(&mut q, release);
         }
     }
 
@@ -831,7 +773,7 @@ mod tests {
         let mut q = NetemQdisc::with_config(config, 17);
         q.enqueue(pkt(0), SimTime::ZERO);
         // With probability 1 and gap 1, the packet bypasses the delay.
-        let out = q.dequeue(SimTime::ZERO);
+        let out = dequeue(&mut q, SimTime::ZERO);
         assert_eq!(out.len(), 1);
     }
 
@@ -845,7 +787,7 @@ mod tests {
             q.enqueue(pkt(seq), SimTime::ZERO);
         }
         // Only every 5th packet is a candidate: exactly one jumps.
-        let immediate = q.dequeue(SimTime::ZERO);
+        let immediate = dequeue(&mut q, SimTime::ZERO);
         assert_eq!(immediate.len(), 1);
         assert_eq!(q.len(), 4);
     }
@@ -864,7 +806,7 @@ mod tests {
         let mut releases = Vec::new();
         while let Some(r) = q.next_release() {
             releases.push(r.as_secs_f64() * 1e3);
-            q.dequeue(r);
+            dequeue(&mut q, r);
         }
         let expected = [1.0, 2.0, 3.0, 4.0, 5.0];
         for (got, want) in releases.iter().zip(expected) {
@@ -895,8 +837,8 @@ mod tests {
         q.enqueue(pkt(0), SimTime::ZERO);
         q.set_config(NetemConfig::passthrough());
         assert_eq!(q.len(), 1);
-        assert!(q.dequeue(SimTime::from_millis(49)).is_empty());
-        assert_eq!(q.dequeue(SimTime::from_millis(50)).len(), 1);
+        assert!(dequeue(&mut q, SimTime::from_millis(49)).is_empty());
+        assert_eq!(dequeue(&mut q, SimTime::from_millis(50)).len(), 1);
     }
 
     #[test]
@@ -923,7 +865,7 @@ mod tests {
                 q.enqueue(pkt(seq), SimTime::from_millis(seq));
             }
             while let Some(r) = q.next_release() {
-                for p in q.dequeue(r) {
+                for p in dequeue(&mut q, r) {
                     log.push((r.as_micros(), p.seq));
                 }
             }
@@ -1013,20 +955,6 @@ mod tests {
         q.enqueue(pkt(0), SimTime::ZERO);
         assert_eq!(registry.snapshot().counter("netem.test.dropped"), 0);
         assert_eq!(q.dropped(), 1, "internal stats still track");
-    }
-
-    #[test]
-    fn fifo_qdisc_is_transparent() {
-        let mut q = FifoQdisc::new();
-        assert!(q.is_empty());
-        q.enqueue(pkt(1), SimTime::ZERO);
-        q.enqueue(pkt(2), SimTime::ZERO);
-        assert_eq!(q.len(), 2);
-        let out = q.dequeue(SimTime::ZERO);
-        assert_eq!(out.iter().map(|p| p.seq).collect::<Vec<_>>(), vec![1, 2]);
-        q.enqueue(pkt(3), SimTime::ZERO);
-        q.clear();
-        assert!(q.is_empty());
     }
 
     #[test]

@@ -12,12 +12,14 @@ use rdsim_units::{Millis, SimDuration, SimTime};
 use std::fmt::Write as _;
 
 /// The reference: scheduling and opening as the injector did before it
-/// kept a cursor. It logs without a link, which the log never reads.
+/// kept a cursor. It logs without a link, which the log never reads, and
+/// keeps the open window by value, since scheduling a window that sorts
+/// before it moves it to another index.
 #[derive(Default)]
 struct Reference {
     windows: Vec<InjectionWindow>,
     log: Vec<InjectionEvent>,
-    active: Option<usize>,
+    active: Option<InjectionWindow>,
 }
 
 #[allow(clippy::result_large_err)] // mirrors FaultInjector::schedule
@@ -39,8 +41,7 @@ impl Reference {
     }
 
     fn advance(&mut self, now: SimTime) {
-        if let Some(idx) = self.active {
-            let w = self.windows[idx];
+        if let Some(w) = self.active {
             if now >= w.end() {
                 self.log.push(InjectionEvent {
                     time: w.end(),
@@ -52,15 +53,14 @@ impl Reference {
             }
         }
         if self.active.is_none() {
-            if let Some(idx) = self.windows.iter().position(|w| w.contains(now)) {
-                let w = self.windows[idx];
+            if let Some(&w) = self.windows.iter().find(|w| w.contains(now)) {
                 self.log.push(InjectionEvent {
                     time: now.max(w.start),
                     config: w.config,
                     action: InjectionAction::Added,
                     direction: Direction::Both,
                 });
-                self.active = Some(idx);
+                self.active = Some(w);
             }
         }
     }
@@ -104,7 +104,7 @@ impl Pair {
         self.reference.advance(now);
         assert_eq!(
             self.injector.active_window(),
-            self.reference.active.map(|i| &self.reference.windows[i]),
+            self.reference.active.as_ref(),
             "active window at {now}"
         );
         let tail = |log: &[InjectionEvent]| log[log.len().saturating_sub(2)..].to_vec();
@@ -119,7 +119,7 @@ impl Pair {
         assert_eq!(self.injector.windows(), &self.reference.windows[..]);
         assert_eq!(
             self.injector.active_window(),
-            self.reference.active.map(|i| &self.reference.windows[i])
+            self.reference.active.as_ref()
         );
         assert_eq!(self.injector.log(), &self.reference.log[..]);
     }

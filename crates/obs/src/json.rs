@@ -144,14 +144,6 @@ impl JsonValue {
         }
     }
 
-    /// The number as `i128`, exact.
-    pub fn as_i128(&self) -> Option<i128> {
-        match self {
-            JsonValue::Num(tok) => tok.parse().ok(),
-            _ => None,
-        }
-    }
-
     /// The number as `f64` (round-trip exact for shortest-form tokens).
     pub fn as_f64(&self) -> Option<f64> {
         match self {

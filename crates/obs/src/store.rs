@@ -161,26 +161,6 @@ impl CellAggregate {
         wilson_interval(self.collided, self.exposures, z)
     }
 
-    /// Fraction of TTC samples below the threshold (`None` without TTC
-    /// observations).
-    pub fn ttc_breach_rate(&self) -> Option<f64> {
-        (self.ttc_samples > 0).then(|| self.ttc_breaches as f64 / self.ttc_samples as f64)
-    }
-
-    /// Mean of the per-run pooled SRRs, reversals/minute (`None` when no
-    /// run produced a usable SRR).
-    pub fn mean_srr(&self) -> Option<f64> {
-        (self.srr_runs > 0).then(|| self.srr_rate_micro as f64 / self.srr_runs as f64 / MICRO)
-    }
-
-    /// Collisions per simulated hour of fault exposure (`None` without
-    /// any exposure time) — the time-normalized risk rate that makes
-    /// short and long fault windows comparable.
-    pub fn collisions_per_exposure_hour(&self) -> Option<f64> {
-        (self.fault_exposure_us > 0)
-            .then(|| self.collisions as f64 / (self.fault_exposure_us as f64 / 3.6e9))
-    }
-
     fn hash_into(&self, h: &mut Fnv) {
         h.u64(self.runs);
         h.u64(self.exposures);

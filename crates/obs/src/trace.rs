@@ -156,7 +156,8 @@ pub enum TraceStage {
     Actuate,
     /// A fault window opened (`arg` = 1) or closed (`arg` = 0).
     FaultEdge,
-    /// A safety incident. `arg` = [`incident_arg`] payload.
+    /// A safety incident. `arg` = the TTC in µs for a TTC breach, the
+    /// impact's relative speed in mm/s for a collision.
     Incident,
     /// Packet tail-dropped by a full finite queue (congestion, not a
     /// loss-model decision). `arg` = packet metadata word.

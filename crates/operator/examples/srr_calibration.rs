@@ -15,7 +15,7 @@ use rdsim_vehicle::VehicleSpec;
 fn steering(fault: Option<NetemConfig>, seed: u64) -> Vec<rdsim_math::Sample> {
     let net = town05();
     let lane = net.spawn_point("ego-start").unwrap().lane;
-    let mut world = World::new(net.clone(), seed);
+    let mut world = World::new(net.clone());
     world.spawn_ego_at("ego-start", VehicleSpec::passenger_car());
     let mut s = RdsSession::new(world, RdsSessionConfig::default(), seed);
     if let Some(f) = fault {

@@ -504,7 +504,7 @@ mod tests {
     fn session(seed: u64, with_lead: bool) -> (RdsSession, LaneId) {
         let net = town05();
         let lane = net.spawn_point("ego-start").unwrap().lane;
-        let mut world = World::new(net, seed);
+        let mut world = World::new(net);
         world.spawn_ego_at("ego-start", VehicleSpec::passenger_car());
         if with_lead {
             world.spawn_npc_at(
@@ -616,7 +616,7 @@ mod tests {
     fn emergency_brake_fires_on_sudden_obstacle() {
         let net = town05();
         let lane = net.spawn_point("ego-start").unwrap().lane;
-        let mut world = World::new(net, 5);
+        let mut world = World::new(net);
         world.spawn_ego_at("ego-start", VehicleSpec::passenger_car());
         // Parked van only 60 m ahead.
         world.spawn_npc_at(

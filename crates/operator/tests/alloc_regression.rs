@@ -49,7 +49,7 @@ fn stress_config() -> NetemConfig {
 
 fn session() -> RdsSession {
     let seed = 7_777;
-    let mut world = World::new(town05(), seed);
+    let mut world = World::new(town05());
     world.spawn_ego_at("ego-start", VehicleSpec::passenger_car());
     world.spawn_npc_at(
         "lead-start",

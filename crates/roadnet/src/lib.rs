@@ -28,12 +28,10 @@ mod builder;
 mod lane;
 mod network;
 mod polyline;
-mod route;
 mod town05;
 
 pub use builder::RoadNetworkBuilder;
 pub use lane::{Lane, LaneId, LaneKind, LanePosition};
 pub use network::{LaneProjection, RoadNetwork, SpawnPoint};
 pub use polyline::Polyline;
-pub use route::{Route, RouteCursor};
 pub use town05::town05;

@@ -70,8 +70,8 @@ impl SegAabb {
 /// and arcs; with ~1 m vertex spacing the chord error of an urban-radius
 /// curve is far below lane-width tolerances.
 ///
-/// Construction also builds a two-level bounding-box index ([`CHUNK`]
-/// segments per chunk box, [`SUB`] per sub-box) used by
+/// Construction also builds a two-level bounding-box index (`CHUNK` = 16
+/// segments per chunk box, `SUB` = 4 per sub-box) used by
 /// [`project`](Self::project) to skip runs of segments that provably
 /// cannot contain the nearest point — an exact optimisation: results are
 /// bit-identical to the plain linear scan.

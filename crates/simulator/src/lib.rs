@@ -24,7 +24,7 @@
 //! use rdsim_units::SimDuration;
 //! use rdsim_vehicle::{ControlInput, VehicleSpec};
 //!
-//! let mut world = World::new(town05(), 42);
+//! let mut world = World::new(town05());
 //! let ego = world.spawn_at("ego-start", VehicleSpec::passenger_car(), Behavior::External);
 //! world.set_external_control(ego, ControlInput::full_throttle());
 //! for _ in 0..100 {
@@ -52,7 +52,7 @@ pub use codec::{
 pub use sensors::{obb_overlap, CollisionEvent, LaneInvasionEvent};
 pub use snapshot::{ActorSnapshot, WorldSnapshot};
 pub use traffic::{idm_acceleration, IdmParams, LaneFollowConfig, LaneKeeper};
-pub use world::{Weather, World};
+pub use world::World;
 
 mod server;
 pub use server::SimulatorServer;

@@ -13,8 +13,8 @@ use rdsim_vehicle::ControlInput;
 /// Mirroring the paper's setup (which deliberately has *no* safety
 /// measures against network disturbances), the server simply keeps
 /// applying the most recently received command — stale commands are
-/// exactly how delay and loss degrade control. An optional neutral-fallback
-/// timeout is provided as the hook where a safety measure would go.
+/// exactly how delay and loss degrade control. Vehicle-side measures
+/// against a silent link live in `rdsim_core::safety`.
 #[derive(Debug)]
 pub struct SimulatorServer {
     world: World,
@@ -22,9 +22,6 @@ pub struct SimulatorServer {
     last_command: ControlInput,
     last_command_at: Option<SimTime>,
     commands_applied: u64,
-    /// If set, revert to a neutral coasting command when no command has
-    /// arrived for this long (a candidate safety measure; off by default).
-    neutral_fallback_after: Option<SimDuration>,
     /// Reused scene snapshot the camera encodes from — per-session
     /// scratch so steady-state captures never rebuild the actor list.
     snap_scratch: WorldSnapshot,
@@ -56,7 +53,6 @@ impl SimulatorServer {
             last_command: ControlInput::COAST,
             last_command_at: None,
             commands_applied: 0,
-            neutral_fallback_after: None,
             snap_scratch: WorldSnapshot::default(),
             frame_pool,
         }
@@ -67,11 +63,6 @@ impl SimulatorServer {
     /// (`codec.frame_bytes`).
     pub fn set_recorder(&mut self, recorder: &Recorder) {
         self.camera.set_recorder(recorder);
-    }
-
-    /// Enables the neutral-fallback safety hook.
-    pub fn set_neutral_fallback(&mut self, after: Option<SimDuration>) {
-        self.neutral_fallback_after = after;
     }
 
     /// The camera configuration of the video feed.
@@ -112,38 +103,20 @@ impl SimulatorServer {
             .map(|t| self.world.time().saturating_since(t))
     }
 
-    /// Advances the physics plant by `dt`, applying the active command
-    /// (or the neutral fallback, when armed and expired) to the ego.
-    ///
-    /// This is the pure "vehicle physics" half of [`tick`](Self::tick);
-    /// the session pipeline runs it as its own stage so sensing can be
-    /// timed and swapped independently of plant integration.
+    /// Advances the physics plant by `dt`, applying the active command to
+    /// the ego. The session pipeline runs it as its own stage, ahead of
+    /// [`capture_into`](Self::capture_into), so sensing can be timed and
+    /// swapped independently of plant integration.
     pub fn advance_plant(&mut self, dt: SimDuration) {
         let ego = self.world.ego_id().expect("checked at construction");
-        let mut command = self.last_command;
-        if let (Some(timeout), Some(at)) = (self.neutral_fallback_after, self.last_command_at) {
-            if self.world.time().saturating_since(at) > timeout {
-                command = ControlInput::COAST;
-            }
-        }
-        self.world.set_external_control(ego, command);
+        self.world.set_external_control(ego, self.last_command);
         self.world.step(dt);
     }
 
-    /// Polls the camera sensor at the current world time and returns any
-    /// frames captured — the "sensing/capture" half of [`tick`](Self::tick).
-    ///
-    /// Convenience wrapper over [`capture_into`](Self::capture_into); the
-    /// session pipeline reuses a scratch buffer instead.
-    pub fn capture(&mut self) -> Vec<VideoFrame> {
-        let mut frames = Vec::new();
-        self.capture_into(&mut frames);
-        frames
-    }
-
-    /// Polls the camera sensor, appending captured frames to `out`. The
-    /// scene is staged in the server's snapshot scratch and payloads come
-    /// from its frame pool, so steady state this allocates nothing.
+    /// Polls the camera sensor at the current world time, appending
+    /// captured frames to `out`. The scene is staged in the server's
+    /// snapshot scratch and payloads come from its frame pool, so steady
+    /// state this allocates nothing.
     pub fn capture_into(&mut self, out: &mut Vec<VideoFrame>) {
         let now = self.world.time();
         let start = out.len();
@@ -160,16 +133,6 @@ impl SimulatorServer {
             self.world.set_frame_hint(last.frame_id);
         }
     }
-
-    /// Advances the simulation by `dt`, applying the active command to the
-    /// ego, and returns any video frames captured during the step.
-    ///
-    /// Equivalent to [`advance_plant`](Self::advance_plant) followed by
-    /// [`capture`](Self::capture).
-    pub fn tick(&mut self, dt: SimDuration) -> Vec<VideoFrame> {
-        self.advance_plant(dt);
-        self.capture()
-    }
 }
 
 #[cfg(test)]
@@ -182,8 +145,17 @@ mod tests {
 
     const DT: SimDuration = SimDuration::from_millis(20);
 
+    /// One plant step followed by a capture, as the session pipeline runs
+    /// them.
+    fn tick(srv: &mut SimulatorServer) -> Vec<VideoFrame> {
+        srv.advance_plant(DT);
+        let mut frames = Vec::new();
+        srv.capture_into(&mut frames);
+        frames
+    }
+
     fn server() -> SimulatorServer {
-        let mut world = World::new(town05(), 7);
+        let mut world = World::new(town05());
         world.spawn_ego_at("ego-start", VehicleSpec::passenger_car());
         world.spawn_npc_at(
             "lead-start",
@@ -198,7 +170,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "requires a spawned ego")]
     fn server_without_ego_panics() {
-        let world = World::new(town05(), 7);
+        let world = World::new(town05());
         let _ = SimulatorServer::new(world, CameraConfig::default(), 7);
     }
 
@@ -207,7 +179,7 @@ mod tests {
         let mut srv = server();
         srv.apply_command(ControlInput::full_throttle());
         for _ in 0..100 {
-            srv.tick(DT);
+            tick(&mut srv);
         }
         let ego = srv.world().ego_id().unwrap();
         assert!(srv.world().actor(ego).state().speed.get() > 3.0);
@@ -222,7 +194,7 @@ mod tests {
         let mut srv = server();
         srv.apply_command(ControlInput::full_throttle());
         for _ in 0..250 {
-            srv.tick(DT);
+            tick(&mut srv);
         }
         assert!(srv.command_age().unwrap() >= SimDuration::from_secs(4));
         let ego = srv.world().ego_id().unwrap();
@@ -230,35 +202,11 @@ mod tests {
     }
 
     #[test]
-    fn neutral_fallback_hook() {
-        let mut srv = server();
-        srv.set_neutral_fallback(Some(SimDuration::from_millis(500)));
-        srv.apply_command(ControlInput::full_throttle());
-        for _ in 0..500 {
-            srv.tick(DT);
-        }
-        // After the fallback triggers, the car coasts down.
-        let ego = srv.world().ego_id().unwrap();
-        let v_fallback = srv.world().actor(ego).state().speed.get();
-        let mut srv2 = server();
-        srv2.apply_command(ControlInput::full_throttle());
-        for _ in 0..500 {
-            srv2.tick(DT);
-        }
-        let ego2 = srv2.world().ego_id().unwrap();
-        let v_no_fallback = srv2.world().actor(ego2).state().speed.get();
-        assert!(
-            v_fallback < v_no_fallback - 1.0,
-            "fallback {v_fallback} vs none {v_no_fallback}"
-        );
-    }
-
-    #[test]
     fn frames_stream_at_camera_rate() {
         let mut srv = server();
         let mut frames = Vec::new();
         for _ in 0..100 {
-            frames.extend(srv.tick(DT));
+            frames.extend(tick(&mut srv));
         }
         // 2 s at 25 fps = 50 frames.
         assert!((48..=52).contains(&frames.len()), "{} frames", frames.len());
@@ -279,7 +227,7 @@ mod tests {
         srv.apply_command(ControlInput::full_throttle());
         let mut steps = 0;
         while srv.world().collision_count() == 0 && steps < 2000 {
-            srv.tick(DT);
+            tick(&mut srv);
             steps += 1;
         }
         let events: Vec<_> = srv.world_mut().drain_collisions().collect();

@@ -1,23 +1,13 @@
-//! The simulated world: actors, stepping, sensors, weather.
+//! The simulated world: actors, stepping, sensors.
 
 use crate::sensors::{circumradius, discs_apart, CollisionTracker};
 use crate::{
     obb_overlap, Actor, ActorId, ActorKind, ActorSnapshot, Behavior, CollisionEvent,
     LaneInvasionEvent, WorldSnapshot,
 };
-use rdsim_math::RngStream;
 use rdsim_roadnet::{LaneId, LanePosition, LaneProjection, RoadNetwork};
-use rdsim_units::{Meters, MetersPerSecond, Ratio, SimDuration, SimTime};
+use rdsim_units::{Meters, MetersPerSecond, SimDuration, SimTime};
 use rdsim_vehicle::{ControlInput, VehicleSpec, VehicleState};
-
-/// Environmental meta-state (set via CARLA-style meta-commands).
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct Weather {
-    /// Night-time driving (the paper's OD includes day and night).
-    pub night: bool,
-    /// Precipitation intensity.
-    pub precipitation: Ratio,
-}
 
 /// The simulated world: a road network populated with actors, advanced on
 /// a fixed step, with ego-centric collision and lane-invasion sensing.
@@ -36,7 +26,6 @@ pub struct World {
     projections: Vec<Option<LaneProjection>>,
     time: SimTime,
     frame_hint: u64,
-    weather: Weather,
     ego: Option<ActorId>,
     ego_lane: Option<LaneId>,
     ego_was_outside: bool,
@@ -49,20 +38,18 @@ pub struct World {
     control_scratch: Vec<ControlInput>,
     /// Reusable candidate buffer for lane re-anchoring — sensor scratch.
     lane_candidates: Vec<LaneId>,
-    #[allow(dead_code)]
-    rng: RngStream,
 }
 
 impl World {
-    /// Creates an empty world on the given road network.
-    pub fn new(net: RoadNetwork, seed: u64) -> Self {
+    /// Creates an empty world on the given road network. Stepping draws
+    /// no random numbers, so a world needs no seed.
+    pub fn new(net: RoadNetwork) -> Self {
         World {
             net,
             actors: Vec::new(),
             projections: Vec::new(),
             time: SimTime::ZERO,
             frame_hint: 0,
-            weather: Weather::default(),
             ego: None,
             ego_lane: None,
             ego_was_outside: false,
@@ -73,7 +60,6 @@ impl World {
             lane_invasion_total: 0,
             control_scratch: Vec::new(),
             lane_candidates: Vec::new(),
-            rng: RngStream::from_seed(seed).substream("world"),
         }
     }
 
@@ -85,16 +71,6 @@ impl World {
     /// Current simulation time.
     pub fn time(&self) -> SimTime {
         self.time
-    }
-
-    /// Current weather.
-    pub fn weather(&self) -> Weather {
-        self.weather
-    }
-
-    /// Sets the weather (a meta-command in CARLA terms).
-    pub fn set_weather(&mut self, weather: Weather) {
-        self.weather = weather;
     }
 
     /// The ego actor id, if an ego has been spawned.
@@ -604,12 +580,12 @@ mod tests {
     use proptest::prelude::*;
     use rdsim_math::{Pose2, Vec2};
     use rdsim_roadnet::town05;
-    use rdsim_units::{Radians, Seconds};
+    use rdsim_units::Radians;
 
     const DT: SimDuration = SimDuration::from_millis(20);
 
     fn world() -> World {
-        World::new(town05(), 42)
+        World::new(town05())
     }
 
     #[test]
@@ -852,18 +828,6 @@ mod tests {
         assert!(w.actor(ego).state().is_stationary());
         let expected = w.network().pose_at(LanePosition::new(lane, s)).position;
         assert!(w.actor(ego).state().position().distance(expected) < 1e-9);
-    }
-
-    #[test]
-    fn weather_meta_command() {
-        let mut w = world();
-        assert!(!w.weather().night);
-        w.set_weather(Weather {
-            night: true,
-            precipitation: Ratio::from_percent(20.0),
-        });
-        assert!(w.weather().night);
-        let _ = Seconds::new(0.0);
     }
 
     #[test]

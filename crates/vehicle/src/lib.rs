@@ -2,15 +2,11 @@
 //!
 //! Provides CARLA-style normalised controls ([`ControlInput`]), vehicle
 //! parameter sets ([`VehicleSpec`] with a small catalog), actuator models
-//! (steering slew limits, powertrain and brake forces) and two integration
-//! models:
-//!
-//! * [`KinematicBicycle`] — the workhorse: a kinematic single-track model
-//!   with actuator dynamics; accurate at the urban speeds of the paper's
-//!   scenarios and unconditionally stable at the 20 ms step the simulator
-//!   uses.
-//! * [`DynamicBicycle`] — a 2-DOF dynamic single-track model with linear
-//!   tire cornering stiffness, for higher-speed highway validation.
+//! (steering slew limits, powertrain and brake forces) and the
+//! integration model, [`KinematicBicycle`]: a kinematic single-track model
+//! with actuator dynamics, accurate at the urban speeds of the paper's
+//! scenarios and unconditionally stable at the 20 ms step the simulator
+//! uses.
 //!
 //! # Examples
 //!
@@ -33,14 +29,12 @@
 
 mod actuator;
 mod controls;
-mod dynamic;
 mod kinematic;
 mod spec;
 mod state;
 
 pub use actuator::{BrakeModel, Powertrain, SteeringActuator};
 pub use controls::ControlInput;
-pub use dynamic::DynamicBicycle;
 pub use kinematic::KinematicBicycle;
 pub use spec::VehicleSpec;
 pub use state::VehicleState;

@@ -27,12 +27,6 @@ pub struct VehicleSpec {
     max_brake: MetersPerSecond2,
     /// Top speed (drive force fades to zero here).
     top_speed: MetersPerSecond,
-    /// Front-axle cornering stiffness (N/rad), for the dynamic model.
-    cornering_stiffness_front: f64,
-    /// Rear-axle cornering stiffness (N/rad), for the dynamic model.
-    cornering_stiffness_rear: f64,
-    /// Yaw moment of inertia (kg·m²), for the dynamic model.
-    yaw_inertia: f64,
 }
 
 impl VehicleSpec {
@@ -50,9 +44,6 @@ impl VehicleSpec {
             max_accel: MetersPerSecond2::new(3.5),
             max_brake: MetersPerSecond2::new(8.0),
             top_speed: MetersPerSecond::from_kmh(180.0),
-            cornering_stiffness_front: 8.0e4,
-            cornering_stiffness_rear: 9.0e4,
-            yaw_inertia: 2500.0,
         }
     }
 
@@ -71,9 +62,6 @@ impl VehicleSpec {
             max_accel: MetersPerSecond2::new(2.5),
             max_brake: MetersPerSecond2::new(4.0),
             top_speed: MetersPerSecond::new(8.0),
-            cornering_stiffness_front: 60.0,
-            cornering_stiffness_rear: 70.0,
-            yaw_inertia: 0.06,
         }
     }
 
@@ -90,9 +78,6 @@ impl VehicleSpec {
             max_accel: MetersPerSecond2::new(1.2),
             max_brake: MetersPerSecond2::new(3.0),
             top_speed: MetersPerSecond::from_kmh(30.0),
-            cornering_stiffness_front: 2.0e3,
-            cornering_stiffness_rear: 2.2e3,
-            yaw_inertia: 12.0,
         }
     }
 
@@ -109,9 +94,6 @@ impl VehicleSpec {
             max_accel: MetersPerSecond2::new(2.2),
             max_brake: MetersPerSecond2::new(7.0),
             top_speed: MetersPerSecond::from_kmh(140.0),
-            cornering_stiffness_front: 1.1e5,
-            cornering_stiffness_rear: 1.3e5,
-            yaw_inertia: 5200.0,
         }
     }
 
@@ -173,21 +155,6 @@ impl VehicleSpec {
     /// Top speed.
     pub fn top_speed(&self) -> MetersPerSecond {
         self.top_speed
-    }
-
-    /// Front cornering stiffness (N/rad).
-    pub fn cornering_stiffness_front(&self) -> f64 {
-        self.cornering_stiffness_front
-    }
-
-    /// Rear cornering stiffness (N/rad).
-    pub fn cornering_stiffness_rear(&self) -> f64 {
-        self.cornering_stiffness_rear
-    }
-
-    /// Yaw moment of inertia (kg·m²).
-    pub fn yaw_inertia(&self) -> f64 {
-        self.yaw_inertia
     }
 
     /// Distance from the centre of gravity to the front axle (taken as
@@ -262,18 +229,6 @@ impl VehicleSpecBuilder {
         self
     }
 
-    /// Sets the dynamic-model tire/inertia parameters.
-    pub fn dynamics(mut self, cf: f64, cr: f64, yaw_inertia: f64) -> Self {
-        assert!(
-            cf > 0.0 && cr > 0.0 && yaw_inertia > 0.0,
-            "dynamics parameters must be positive"
-        );
-        self.spec.cornering_stiffness_front = cf;
-        self.spec.cornering_stiffness_rear = cr;
-        self.spec.yaw_inertia = yaw_inertia;
-        self
-    }
-
     /// Finalises the spec.
     pub fn build(self) -> VehicleSpec {
         self.spec
@@ -324,7 +279,6 @@ mod tests {
                 MetersPerSecond2::new(9.0),
                 MetersPerSecond::new(50.0),
             )
-            .dynamics(7.0e4, 8.0e4, 2000.0)
             .build();
         assert_eq!(spec.name(), "custom");
         assert_eq!(spec.wheelbase(), Meters::new(2.5));

@@ -11,7 +11,7 @@ pub struct VehicleState {
     pub pose: Pose2,
     /// Longitudinal speed along the body axis (negative when reversing).
     pub speed: MetersPerSecond,
-    /// Lateral speed in the body frame (non-zero only for the dynamic model).
+    /// Lateral speed in the body frame (the kinematic model keeps it zero).
     pub lateral_speed: MetersPerSecond,
     /// Yaw rate (rad/s, CCW positive).
     pub yaw_rate: f64,

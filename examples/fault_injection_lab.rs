@@ -33,7 +33,7 @@ fn main() -> ExitCode {
 
     let net = town05();
     let lane = net.spawn_point("ego-start").expect("spawn").lane;
-    let mut world = World::new(net.clone(), 99);
+    let mut world = World::new(net.clone());
     world.spawn_ego_at("ego-start", VehicleSpec::passenger_car());
     world.spawn_npc_at(
         "lead-start",

@@ -71,7 +71,7 @@ fn main() {
     for profile in &subjects {
         for (i, (_, fault)) in faults.iter().enumerate() {
             let seed = 555 + i as u64;
-            let mut world = World::new(net.clone(), seed);
+            let mut world = World::new(net.clone());
             world.spawn_ego_at("ego-start", VehicleSpec::passenger_car());
             let mut session = RdsSession::new(world, config.clone(), seed);
             if let Some(f) = fault {

@@ -18,7 +18,7 @@ fn drive(fault: Option<NetemConfig>, seed: u64) -> (f64, u64, f64) {
     // A Town-5-like map with an ego car and a lead vehicle to follow.
     let net = town05();
     let lane = net.spawn_point("ego-start").expect("map has spawn").lane;
-    let mut world = World::new(net.clone(), seed);
+    let mut world = World::new(net.clone());
     world.spawn_ego_at("ego-start", VehicleSpec::passenger_car());
     world.spawn_npc_at(
         "lead-start",

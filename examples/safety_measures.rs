@@ -31,7 +31,7 @@ struct Outcome {
 fn run(fault: &str, with_stack: bool, seed: u64) -> Outcome {
     let net = town05();
     let lane = net.spawn_point("ego-start").expect("spawn").lane;
-    let mut world = World::new(net.clone(), seed);
+    let mut world = World::new(net.clone());
     world.spawn_ego_at("ego-start", VehicleSpec::passenger_car());
     world.spawn_npc_at(
         "slalom-1",

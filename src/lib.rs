@@ -4,7 +4,7 @@
 //! Disturbances for Remote Driving with Simulation-Based Human-in-the-Loop
 //! Testing"* (Trivedi & Warg, DSN-W/VERDI 2023): a deterministic driving
 //! simulator standing in for CARLA, a NETEM-style network emulator, the
-//! four-subsystem Remote Driving System architecture, simulated human
+//! paper's Remote Driving System architecture, simulated human
 //! driver models standing in for the test subjects, the paper's road-
 //! safety metric suite (TTC, SRR, collision analysis), and the experiment
 //! harness that regenerates every table and figure.
@@ -15,8 +15,8 @@
 //! |---|---|---|
 //! | [`units`] | `rdsim-units` | typed quantities, simulation time |
 //! | [`math`] | `rdsim-math` | geometry, filters, stats, PRNGs |
-//! | [`roadnet`] | `rdsim-roadnet` | lanes, maps, routes |
-//! | [`vehicle`] | `rdsim-vehicle` | bicycle models, actuators |
+//! | [`roadnet`] | `rdsim-roadnet` | lanes, maps, projection |
+//! | [`vehicle`] | `rdsim-vehicle` | kinematic bicycle model, actuators |
 //! | [`netem`] | `rdsim-netem` | the network-fault emulator |
 //! | [`simulator`] | `rdsim-simulator` | the CARLA-substitute world |
 //! | [`core`] | `rdsim-core` | RDS architecture + HIL sessions |
@@ -39,7 +39,7 @@
 //! // A world with a remotely driven ego vehicle …
 //! let net = town05();
 //! let lane = net.spawn_point("ego-start").unwrap().lane;
-//! let mut world = World::new(net.clone(), 7);
+//! let mut world = World::new(net.clone());
 //! world.spawn_ego_at("ego-start", VehicleSpec::passenger_car());
 //!
 //! // … a session that wires it to an operator through an emulated network …

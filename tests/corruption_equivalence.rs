@@ -35,7 +35,7 @@ struct Outcome {
 fn corrupted_drive(seed: u64, frame_bytes: usize) -> Outcome {
     let net = town05();
     let lane = net.spawn_point("ego-start").expect("spawn").lane;
-    let mut world = World::new(net.clone(), seed);
+    let mut world = World::new(net.clone());
     world.spawn_ego_at("ego-start", VehicleSpec::passenger_car());
     world.spawn_npc_at(
         "lead-start",

@@ -29,7 +29,7 @@ use std::path::PathBuf;
 fn run_once(seed: u64) -> rdsim::core::RunLog {
     let net = town05();
     let lane = net.spawn_point("ego-start").expect("spawn").lane;
-    let mut world = World::new(net.clone(), seed);
+    let mut world = World::new(net.clone());
     world.spawn_ego_at("ego-start", VehicleSpec::passenger_car());
     world.spawn_npc_at(
         "lead-start",
@@ -94,7 +94,7 @@ fn condition_label(fault: Option<PaperFault>) -> String {
 fn matrix_digest(fault: Option<PaperFault>, seed: u64) -> u64 {
     let net = town05();
     let lane = net.spawn_point("ego-start").expect("spawn").lane;
-    let mut world = World::new(net.clone(), seed);
+    let mut world = World::new(net.clone());
     world.spawn_ego_at("ego-start", VehicleSpec::passenger_car());
     world.spawn_npc_at(
         "lead-start",

@@ -13,7 +13,7 @@ use rdsim::vehicle::{ControlInput, VehicleSpec};
 
 fn session_with(seed: u64, with_lead: bool) -> RdsSession {
     let net = town05();
-    let mut world = World::new(net, seed);
+    let mut world = World::new(net);
     world.spawn_ego_at("ego-start", VehicleSpec::passenger_car());
     if with_lead {
         world.spawn_npc_at(

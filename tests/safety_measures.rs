@@ -10,7 +10,7 @@ use rdsim::units::{MetersPerSecond, Ratio, SimDuration};
 use rdsim::vehicle::{ControlInput, VehicleSpec};
 
 fn session(seed: u64) -> RdsSession {
-    let mut world = World::new(town05(), seed);
+    let mut world = World::new(town05());
     world.spawn_ego_at("ego-start", VehicleSpec::passenger_car());
     RdsSession::new(world, RdsSessionConfig::default(), seed)
 }
