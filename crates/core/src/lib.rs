@@ -47,7 +47,6 @@
 pub mod campaign;
 pub mod digest;
 pub mod fault;
-pub mod pipeline;
 mod protocol;
 mod runlog;
 pub mod safety;
@@ -57,7 +56,6 @@ mod station;
 pub use campaign::{RunKind, RunRecord, ScheduledFault};
 pub use digest::Digestible;
 pub use fault::{FaultKind, FaultSpec, PaperFault};
-pub use pipeline::{Stage, StageContext, StepScratch};
 pub use protocol::{
     decode_command, encode_command_into, encode_command_pooled, CommandCodecError,
     COMMAND_PACKET_BYTES,

@@ -1,24 +1,28 @@
 //! The HIL session: vehicle ↔ network ↔ operator in simulated time.
 //!
-//! Since the pipeline refactor, [`RdsSession`] is a thin composition: it
-//! owns the shared session state ([`SessionCore`], crate-private), the
-//! clock and the run log, and advances by running an explicit list of
-//! [`Stage`]s in order (see [`crate::pipeline`] for the stage catalog and
-//! [`RdsSession::default_stages`] for the default order).
+//! The paper's remote-driving loop (§III, Fig. 3) is one fixed chain —
+//! sense → encode → uplink (NETEM) → display → operator → command →
+//! downlink (NETEM) → actuate — plus the fault clock, the optional
+//! vehicle-side safety stack and the logger. [`RdsSession::step`] runs it
+//! as ten private stage methods in a fixed order. With a live recorder,
+//! each stage's wall time goes into its own `session.stage.<name>_ns`
+//! histogram, one sample per step.
 
-use crate::pipeline::{
-    ActuateStage, CaptureStage, DisplayStage, DownlinkStage, FaultWindowStage, LoggingStage,
-    OperatorStage, SafetyStage, Stage, StageContext, StepScratch, UplinkStage, VehicleStage,
-};
+use crate::safety::{QosEstimate, SafetyStack};
 use crate::{
-    EgoSample, IncidentKind, IncidentMark, LeadObservation, OperatorSubsystem, OtherSample, RunLog,
+    decode_command, encode_command_pooled, EgoSample, IncidentKind, IncidentMark, LeadObservation,
+    OperatorSubsystem, OtherSample, ReceivedFrame, RunLog,
 };
 use rdsim_netem::{
-    DuplexLink, FaultInjector, InjectionAction, InjectionWindow, NetemConfig, TraceSchedule,
+    DuplexLink, FaultInjector, InjectionAction, InjectionWindow, NetemConfig, Packet, PacketKind,
+    TraceSchedule,
 };
 use rdsim_obs::{Counter, Histogram, Recorder, Timeline, TraceId, TraceStage, Tracer};
-use rdsim_simulator::{ActorKind, CameraConfig, SimulatorServer, World};
+use rdsim_simulator::{
+    decode_frame_into, ActorKind, CameraConfig, SimulatorServer, VideoFrame, World, WorldSnapshot,
+};
 use rdsim_units::{Meters, SimDuration, SimTime};
+use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -83,6 +87,20 @@ pub struct SessionStats {
     pub commands_corrupted: u64,
 }
 
+/// The stages' wall-time histograms, in step order.
+const STAGE_SPANS: [&str; 10] = [
+    "session.stage.fault_window_ns",
+    "session.stage.vehicle_ns",
+    "session.stage.capture_ns",
+    "session.stage.uplink_ns",
+    "session.stage.display_ns",
+    "session.stage.operator_ns",
+    "session.stage.downlink_ns",
+    "session.stage.actuate_ns",
+    "session.stage.safety_ns",
+    "session.stage.logging_ns",
+];
+
 /// The session's instrument handles, resolved once at construction.
 ///
 /// The six transport counters double as the backing store of
@@ -90,14 +108,14 @@ pub struct SessionStats {
 /// they are detached (cheap atomics nobody else sees), with a live one they
 /// appear in the run's `RunTelemetry` under the same names.
 #[derive(Debug)]
-pub(crate) struct SessionObs {
-    pub(crate) frames_sent: Counter,
-    pub(crate) frames_delivered: Counter,
-    pub(crate) frames_corrupted: Counter,
-    pub(crate) commands_sent: Counter,
-    pub(crate) commands_delivered: Counter,
-    pub(crate) commands_corrupted: Counter,
-    pub(crate) steps: Counter,
+struct SessionObs {
+    frames_sent: Counter,
+    frames_delivered: Counter,
+    frames_corrupted: Counter,
+    commands_sent: Counter,
+    commands_delivered: Counter,
+    commands_corrupted: Counter,
+    steps: Counter,
     /// Packet accounting split by whether a fault rule was active when the
     /// packet was offered / delivered / dropped / rejected.
     win_in_sent: Counter,
@@ -111,11 +129,13 @@ pub(crate) struct SessionObs {
     /// Glass-to-glass frame age at display (capture → decode), µs.
     /// Handles held only while a live recorder is attached, so the
     /// disabled path records nothing.
-    pub(crate) frame_age_us: Option<Arc<Histogram>>,
+    frame_age_us: Option<Arc<Histogram>>,
     /// Command age at application (station send → vehicle apply), µs.
-    pub(crate) command_age_us: Option<Arc<Histogram>>,
+    command_age_us: Option<Arc<Histogram>>,
     /// Wall time of each frame decode, good or rejected, ns.
-    pub(crate) decode_ns: Option<Arc<Histogram>>,
+    decode_ns: Option<Arc<Histogram>>,
+    /// Wall time of each stage per step, ns, indexed like [`STAGE_SPANS`].
+    stage_ns: Option<[Arc<Histogram>; 10]>,
 }
 
 impl SessionObs {
@@ -145,12 +165,15 @@ impl SessionObs {
             decode_ns: recorder
                 .enabled()
                 .then(|| recorder.histogram("codec.decode_ns")),
+            stage_ns: recorder
+                .enabled()
+                .then(|| STAGE_SPANS.map(|name| recorder.histogram(name))),
         }
     }
 
     /// The `(sent, delivered, dropped, corrupted)` counters for the given
     /// fault-window side.
-    pub(crate) fn window(&self, inside: bool) -> (&Counter, &Counter, &Counter, &Counter) {
+    fn window(&self, inside: bool) -> (&Counter, &Counter, &Counter, &Counter) {
         if inside {
             (
                 &self.win_in_sent,
@@ -169,58 +192,11 @@ impl SessionObs {
     }
 }
 
-/// A pipeline stage next to its `span_name` wall-time histogram, resolved
-/// once (`None` with the null recorder).
-type TimedStage = (Box<dyn Stage>, Option<Arc<Histogram>>);
-
-/// The shared session state every [`Stage`] advances: plant, links, fault
-/// injector, telemetry, tracing, QoS estimation and the run log.
-///
-/// Crate-private on purpose — external stages go through
-/// [`StageContext`]'s accessors, which keeps the invariants (sequence
-/// counters, incident bookkeeping) inside this module.
-#[derive(Debug)]
-pub(crate) struct SessionCore {
-    pub(crate) server: SimulatorServer,
-    pub(crate) link: DuplexLink,
-    pub(crate) injector: FaultInjector,
-    pub(crate) log: RunLog,
-    pub(crate) recorder: Recorder,
-    pub(crate) tracer: Tracer,
-    pub(crate) obs: SessionObs,
-    /// Injection-log entries already mirrored as recorder events.
-    pub(crate) fault_events_seen: usize,
-    pub(crate) frame_seq: u64,
-    pub(crate) cmd_seq: u64,
-    /// Incident marks emitted so far (moved into the log on completion).
-    pub(crate) incidents: Vec<IncidentMark>,
-    /// Sequence for incident trace ids.
-    pub(crate) incident_seq: u64,
-    /// Whether the previous sample was inside a TTC breach (edge detector).
-    pub(crate) ttc_breached: bool,
-    /// Sequence number of the newest frame shown to the operator — the
-    /// causal antecedent stamped onto every emitted command.
-    pub(crate) last_displayed_frame: Option<u64>,
-    pub(crate) safety: Option<crate::safety::SafetyStack>,
-    /// Pool backing command-packet payloads, slot-sized to the fixed
-    /// command packet so steady-state emits never allocate.
-    pub(crate) cmd_pool: bytes::BufPool,
-    pub(crate) last_cmd_received_at: Option<SimTime>,
-    pub(crate) highest_cmd_seq: Option<u64>,
-    /// Sliding delivery/miss window for the vehicle-side loss estimate.
-    pub(crate) cmd_window: std::collections::VecDeque<bool>,
-    /// Time-resolved per-window aggregates (None unless configured).
-    pub(crate) timeline: Option<Timeline>,
-    /// Previous cumulative link tallies + incremental SRR state backing
-    /// the timeline's per-tick deltas.
-    pub(crate) tl_taps: TimelineTaps,
-}
-
 /// Per-tick bookkeeping for the timeline: the previous cumulative link
 /// tallies (so each tick attributes exactly its delta to the current
 /// window) and the incremental steering-reversal hysteresis state.
 #[derive(Debug, Default)]
-pub(crate) struct TimelineTaps {
+struct TimelineTaps {
     up_dropped: u64,
     up_queue_dropped: u64,
     up_duplicated: u64,
@@ -342,31 +318,139 @@ fn netem_fault_bits(cfg: &NetemConfig) -> u64 {
     bits
 }
 
-impl SessionCore {
-    /// Current simulation time.
-    pub(crate) fn time(&self) -> SimTime {
-        self.server.world().time()
+/// A human-in-the-loop RDS test session (Fig. 3 of the paper): the
+/// simulator server streams frames through the emulated network to the
+/// operator; the operator's commands stream back through the same faults.
+///
+/// One [`step`](Self::step) runs the loop's ten stages once, in a fixed
+/// order:
+///
+/// ```text
+/// fault_window → vehicle → capture → uplink → display → operator
+///              → downlink → actuate → safety → logging
+/// ```
+#[derive(Debug)]
+pub struct RdsSession {
+    server: SimulatorServer,
+    link: DuplexLink,
+    injector: FaultInjector,
+    log: RunLog,
+    recorder: Recorder,
+    tracer: Tracer,
+    obs: SessionObs,
+    /// Injection-log entries already mirrored as recorder events.
+    fault_events_seen: usize,
+    frame_seq: u64,
+    cmd_seq: u64,
+    /// Incident marks emitted so far (moved into the log on completion).
+    incidents: Vec<IncidentMark>,
+    /// Sequence for incident trace ids.
+    incident_seq: u64,
+    /// Whether the previous sample was inside a TTC breach (edge detector).
+    ttc_breached: bool,
+    /// Sequence number of the newest frame shown to the operator — the
+    /// causal antecedent stamped onto every emitted command.
+    last_displayed_frame: Option<u64>,
+    safety_stack: Option<SafetyStack>,
+    /// Pool backing command-packet payloads, slot-sized to the fixed
+    /// command packet so steady-state emits never allocate.
+    cmd_pool: bytes::BufPool,
+    last_cmd_received_at: Option<SimTime>,
+    highest_cmd_seq: Option<u64>,
+    /// Sliding delivery/miss window for the vehicle-side loss estimate.
+    cmd_window: VecDeque<bool>,
+    /// Time-resolved per-window aggregates (None unless configured).
+    timeline: Option<Timeline>,
+    /// Previous cumulative link tallies + incremental SRR state backing
+    /// the timeline's per-tick deltas.
+    tl_taps: TimelineTaps,
+    /// Frames captured this step (capture → uplink). This and the next
+    /// three buffers are drained by the stage that consumes them and keep
+    /// their capacity from step to step.
+    frames: Vec<VideoFrame>,
+    /// Wire packets offered to a link: the uplink stages this step's video
+    /// packets, then the downlink the command.
+    packets: Vec<Packet>,
+    /// Frames the uplink delivered this step (uplink → display).
+    arrived_frames: Vec<Packet>,
+    /// Commands the downlink delivered this step (downlink → actuate).
+    arrived_cmds: Vec<Packet>,
+    /// A [`ReceivedFrame`] holder parked by a frame that failed to decode;
+    /// the next decode uses it before asking
+    /// [`OperatorSubsystem::recycle_frame`], so its actor allocation keeps
+    /// being reused.
+    spare_frame: Option<ReceivedFrame>,
+}
+
+impl RdsSession {
+    /// The fixed simulation step, 20 ms: the session steps at 50 Hz and
+    /// the station sends one command per step.
+    pub const DT: SimDuration = SimDuration::from_millis(20);
+
+    /// Creates a session around a world with a spawned ego vehicle.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the world has no ego vehicle.
+    pub fn new(world: World, config: RdsSessionConfig, seed: u64) -> Self {
+        let recorder = config.recorder;
+        let tracer = config.tracer;
+        let mut server = SimulatorServer::new(world, config.camera, seed);
+        server.set_recorder(&recorder);
+        let mut link = DuplexLink::new(seed ^ 0x6E65_7431);
+        link.attach_recorder(&recorder);
+        link.attach_tracer(&tracer);
+        let obs = SessionObs::new(&recorder);
+        RdsSession {
+            server,
+            link,
+            injector: FaultInjector::new(),
+            log: RunLog::new(),
+            recorder,
+            tracer,
+            obs,
+            fault_events_seen: 0,
+            frame_seq: 0,
+            cmd_seq: 0,
+            incidents: Vec::new(),
+            incident_seq: 0,
+            ttc_breached: false,
+            last_displayed_frame: None,
+            safety_stack: None,
+            cmd_pool: bytes::BufPool::with_slot_capacity(crate::COMMAND_PACKET_BYTES),
+            last_cmd_received_at: None,
+            highest_cmd_seq: None,
+            cmd_window: VecDeque::new(),
+            timeline: config.timeline.then(Timeline::default),
+            tl_taps: TimelineTaps::default(),
+            frames: Vec::new(),
+            packets: Vec::new(),
+            arrived_frames: Vec::new(),
+            arrived_cmds: Vec::new(),
+            spare_frame: None,
+        }
     }
 
-    /// Pairs `stage` with its wall-time histogram, resolved here once so
-    /// the step loop records without a lookup.
-    fn timed(&self, stage: Box<dyn Stage>) -> TimedStage {
-        let ns = self
-            .recorder
-            .enabled()
-            .then(|| self.recorder.histogram(stage.span_name()));
-        (stage, ns)
+    /// Installs a vehicle-side safety stack (the paper's test setup runs
+    /// without one; this is the hook its methodology exists to evaluate).
+    pub fn set_safety_stack(&mut self, stack: SafetyStack) {
+        self.safety_stack = Some(stack);
+    }
+
+    /// The installed safety stack, if any.
+    pub fn safety_stack(&self) -> Option<&SafetyStack> {
+        self.safety_stack.as_ref()
     }
 
     /// The vehicle-side link-quality estimate.
-    pub(crate) fn qos_estimate(&self) -> crate::safety::QosEstimate {
+    pub fn qos_estimate(&self) -> QosEstimate {
         let misses = self.cmd_window.iter().filter(|&&m| m).count();
         let loss = if self.cmd_window.is_empty() {
             0.0
         } else {
             misses as f64 / self.cmd_window.len() as f64
         };
-        crate::safety::QosEstimate {
+        QosEstimate {
             command_age: self
                 .last_cmd_received_at
                 .map(|t| self.time().saturating_since(t)),
@@ -375,62 +459,496 @@ impl SessionCore {
         }
     }
 
-    pub(crate) fn note_cmd_delivery(&mut self, seq: u64) {
-        const WINDOW: usize = 100;
-        if let Some(prev) = self.highest_cmd_seq {
-            if seq > prev {
-                for _ in 0..(seq - prev - 1).min(WINDOW as u64) {
-                    self.cmd_window.push_back(true); // missed
+    /// The simulated world (read access).
+    pub fn world(&self) -> &World {
+        self.server.world()
+    }
+
+    /// Mutable world access for scenario setup between runs.
+    pub fn world_mut(&mut self) -> &mut World {
+        self.server.world_mut()
+    }
+
+    /// The vehicle-subsystem server.
+    pub fn server(&self) -> &SimulatorServer {
+        &self.server
+    }
+
+    /// Transport statistics so far (a read-out of the live counters).
+    pub fn stats(&self) -> SessionStats {
+        SessionStats {
+            frames_sent: self.obs.frames_sent.get(),
+            frames_delivered: self.obs.frames_delivered.get(),
+            frames_corrupted: self.obs.frames_corrupted.get(),
+            commands_sent: self.obs.commands_sent.get(),
+            commands_delivered: self.obs.commands_delivered.get(),
+            commands_corrupted: self.obs.commands_corrupted.get(),
+        }
+    }
+
+    /// The session's telemetry recorder (null unless one was configured).
+    pub fn recorder(&self) -> &Recorder {
+        &self.recorder
+    }
+
+    /// The session's causal tracer (the always-on flight recorder unless
+    /// a null tracer was configured).
+    pub fn tracer(&self) -> &Tracer {
+        &self.tracer
+    }
+
+    /// Safety-incident marks emitted so far.
+    pub fn incidents(&self) -> &[IncidentMark] {
+        &self.incidents
+    }
+
+    /// The time-resolved timeline recorded so far (None unless enabled
+    /// via [`RdsSessionConfig::timeline`]).
+    pub fn timeline(&self) -> Option<&Timeline> {
+        self.timeline.as_ref()
+    }
+
+    /// Takes the recorded timeline out of the session (an empty default
+    /// when the timeline was not enabled). Call before
+    /// [`into_log`](Self::into_log).
+    pub fn take_timeline(&mut self) -> Timeline {
+        self.timeline.take().unwrap_or_default()
+    }
+
+    /// Current simulation time.
+    pub fn time(&self) -> SimTime {
+        self.server.world().time()
+    }
+
+    /// The session step, [`RdsSession::DT`].
+    pub fn dt(&self) -> SimDuration {
+        Self::DT
+    }
+
+    /// Schedules a fault window.
+    ///
+    /// # Errors
+    ///
+    /// Returns the conflicting window on overlap.
+    #[allow(clippy::result_large_err)] // mirrors FaultInjector::schedule
+    pub fn schedule_fault(&mut self, window: InjectionWindow) -> Result<(), InjectionWindow> {
+        self.injector.schedule(window)
+    }
+
+    /// Schedules every compiled window of a measured-network trace.
+    ///
+    /// # Errors
+    ///
+    /// Returns the scheduled window that the first conflicting trace
+    /// window overlaps; trace windows before that one stay scheduled.
+    #[allow(clippy::result_large_err)] // mirrors FaultInjector::schedule
+    pub fn schedule_trace(&mut self, trace: &TraceSchedule) -> Result<(), InjectionWindow> {
+        self.injector.schedule_trace(trace)
+    }
+
+    /// Injects a rule immediately (test-leader style ad-hoc injection).
+    pub fn inject_now(&mut self, config: NetemConfig) {
+        let now = self.time();
+        self.injector.inject_now(&mut self.link, config, now);
+        self.sync_fault_events();
+    }
+
+    /// Injects a rule on one direction only — the unidirectional variants
+    /// of the related 4G/5G evaluation work.
+    pub fn inject_now_on(&mut self, direction: rdsim_netem::Direction, config: NetemConfig) {
+        let now = self.time();
+        self.injector
+            .inject_now_on(&mut self.link, direction, config, now);
+        self.sync_fault_events();
+    }
+
+    /// Clears the active rule immediately.
+    pub fn clear_fault_now(&mut self) {
+        let now = self.time();
+        self.injector.clear_now(&mut self.link, now);
+        self.sync_fault_events();
+    }
+
+    /// Pre-sizes the session's buffers for a run of (at least) `duration`:
+    /// run-log sample vectors from the step count and the current moving
+    /// vehicles, run-log event vectors and the world's per-step event
+    /// buffers, and the trace ring from the expected frame/command event
+    /// volume (clamped to its bound). Optional — purely an allocation
+    /// optimisation — but after calling it a steady-state
+    /// capture→…→actuate step performs zero heap allocations (see the
+    /// `alloc_regression` suite).
+    pub fn preallocate(&mut self, duration: SimDuration) {
+        let steps = duration.div_steps(Self::DT) as usize;
+        let world = self.server.world();
+        let movers = world
+            .actors()
+            .iter()
+            .filter(|a| {
+                Some(a.id()) != world.ego_id()
+                    && a.kind() == ActorKind::Vehicle
+                    && !a.is_stationary_behavior()
+            })
+            .count();
+        self.log.reserve_samples(steps, steps * movers);
+        // One collision and one lane invasion per simulated second: the
+        // study's runs log under 0.05 lane invasions per second, and a
+        // driver weaving under stress faults about 0.9.
+        self.log
+            .reserve_events(duration.as_micros().div_ceil(1_000_000) as usize);
+        self.server.world_mut().reserve_step_events();
+        let frames = (duration.as_secs_f64() * self.server.camera_config().max_fps.get()).ceil()
+            as usize
+            + 1;
+        // Per frame: capture, encode, netem enqueue/deliver, decode,
+        // display (+ duplicates); per step: command emit, enqueue,
+        // deliver, actuate. Headroom of 2× covers duplication faults.
+        self.tracer.preallocate(2 * (frames * 6 + steps * 4));
+        // Delay-queue headroom: worst-case in-flight under the paper's
+        // fault matrix is a few packets per direction; 64 makes heap
+        // growth impossible at negligible cost (~4 KiB per direction).
+        self.link.uplink.reserve(64);
+        self.link.downlink.reserve(64);
+        if let Some(tl) = self.timeline.as_mut() {
+            tl.preallocate(duration.as_micros());
+        }
+    }
+
+    /// Advances one tick by running the ten stages in their fixed order.
+    ///
+    /// With a live recorder attached, each stage's wall time is recorded
+    /// into its own `session.stage.<name>_ns` histogram — one sample per
+    /// stage per step. The clock is read once before the first stage and
+    /// once after each, and a stage's sample runs from the previous
+    /// boundary to its own; with the null recorder no clock is read.
+    pub fn step(&mut self, operator: &mut dyn OperatorSubsystem) {
+        self.obs.steps.inc();
+        let mut boundary = self.obs.stage_ns.is_some().then(Instant::now);
+        let (in_window, dropped_before) = self.fault_window();
+        self.lap(&mut boundary, 0);
+        let now = self.vehicle();
+        self.lap(&mut boundary, 1);
+        self.capture();
+        self.lap(&mut boundary, 2);
+        self.uplink(now, in_window);
+        self.lap(&mut boundary, 3);
+        self.display(operator, now, in_window);
+        self.lap(&mut boundary, 4);
+        let command = self.operator(operator, now, in_window);
+        self.lap(&mut boundary, 5);
+        self.downlink(command, now);
+        self.lap(&mut boundary, 6);
+        self.actuate(now, in_window, dropped_before);
+        self.lap(&mut boundary, 7);
+        self.safety(now);
+        self.lap(&mut boundary, 8);
+        self.logging(now);
+        self.lap(&mut boundary, 9);
+    }
+
+    /// Runs for a duration (rounded down to whole steps).
+    pub fn run(&mut self, operator: &mut dyn OperatorSubsystem, duration: SimDuration) {
+        for _ in 0..duration.div_steps(Self::DT) {
+            self.step(operator);
+        }
+    }
+
+    /// Consumes the session, returning the completed run log.
+    pub fn into_log(mut self) -> RunLog {
+        self.sync_fault_events();
+        self.log.set_faults(self.injector.log().to_vec());
+        self.log
+            .set_duration(self.time().saturating_since(SimTime::ZERO));
+        // Surface flight-recorder accounting in the run's telemetry so
+        // campaign reports can aggregate it next to `events_dropped`.
+        if self.recorder.enabled() && self.tracer.enabled() {
+            let overwritten = self.tracer.overwritten();
+            self.recorder
+                .counter("session.trace.recorded")
+                .add(self.tracer.len() as u64 + overwritten);
+            self.recorder
+                .counter("session.trace.overwritten")
+                .add(overwritten);
+        }
+        let incidents = std::mem::take(&mut self.incidents);
+        self.log.set_incidents(incidents);
+        self.log
+    }
+
+    /// Ends stage `stage`'s lap: records the wall time since the previous
+    /// boundary into its [`STAGE_SPANS`] histogram and moves the boundary
+    /// here. Without a live recorder there is no boundary to move.
+    fn lap(&self, boundary: &mut Option<Instant>, stage: usize) {
+        if let (Some(ns), Some(boundary)) = (&self.obs.stage_ns, boundary.as_mut()) {
+            let now = Instant::now();
+            ns[stage].record(now.duration_since(*boundary).as_nanos() as u64);
+            *boundary = now;
+        }
+    }
+
+    /// Stage 1 — fault clock: opens and closes scheduled fault windows on
+    /// the pre-step clock and mirrors the transitions as recorder events
+    /// and fault-edge incidents. Returns whether a fault rule is active
+    /// and the links' drop total before any traffic is offered. The window
+    /// state is constant for the rest of the step (rules only change here
+    /// or between steps), so the one flag attributes the whole step's
+    /// packet accounting.
+    fn fault_window(&mut self) -> (bool, u64) {
+        let t_pre = self.time();
+        self.injector.advance(&mut self.link, t_pre);
+        self.sync_fault_events();
+        (
+            self.injector.fault_active(),
+            self.link.uplink.stats().dropped + self.link.downlink.stats().dropped,
+        )
+    }
+
+    /// Stage 2 — vehicle physics: integrates the plant by one step under
+    /// the active command and returns the post-physics clock, which every
+    /// later stage stamps its events with.
+    fn vehicle(&mut self) -> SimTime {
+        self.server.advance_plant(Self::DT);
+        self.time()
+    }
+
+    /// Stage 3 — sensing/capture: polls the camera sensor; any frames
+    /// captured this step land in `frames` for the uplink.
+    fn capture(&mut self) {
+        self.server.capture_into(&mut self.frames);
+    }
+
+    /// Stage 4 — uplink (vehicle → operator): sequences every captured
+    /// frame into a video packet of the frame's wire size (tracing capture
+    /// and encode), offers the batch to the uplink NETEM direction and
+    /// collects whatever the link delivers this step.
+    fn uplink(&mut self, now: SimTime, in_window: bool) {
+        for frame in self.frames.drain(..) {
+            self.obs.frames_sent.inc();
+            self.obs.window(in_window).0.inc();
+            let seq = self.frame_seq;
+            self.frame_seq += 1;
+            let id = TraceId::frame(seq);
+            let captured_us = frame.captured_at.as_micros();
+            self.tracer
+                .record(id, TraceStage::Capture, captured_us, frame.frame_id);
+            self.tracer
+                .record(id, TraceStage::Encode, captured_us, frame.wire_len as u64);
+            self.packets.push(
+                Packet::new(seq, PacketKind::Video, frame.payload).with_wire_len(frame.wire_len),
+            );
+        }
+        self.link
+            .uplink
+            .transfer_into(&mut self.packets, now, &mut self.arrived_frames);
+    }
+
+    /// Stage 5 — station display: decodes every delivered frame (corrupted
+    /// frames are rejected by checksum and surfaced as bad-frame
+    /// notifications) and shows good frames to the operator.
+    fn display(&mut self, operator: &mut dyn OperatorSubsystem, now: SimTime, in_window: bool) {
+        for pkt in self.arrived_frames.drain(..) {
+            let id = pkt.trace_id();
+            // Decode into a recycled holder: the session's spare (kept from
+            // a frame that failed to decode) first, else the operator's
+            // previous frame if it hands one back — so the snapshot's actor
+            // allocation is reused step after step, and a parked holder is
+            // never overwritten and lost.
+            let mut holder = self
+                .spare_frame
+                .take()
+                .or_else(|| operator.recycle_frame())
+                .unwrap_or_else(|| ReceivedFrame {
+                    snapshot: WorldSnapshot::default(),
+                    captured_at: SimTime::ZERO,
+                    received_at: SimTime::ZERO,
+                });
+            let decoded = match &self.obs.decode_ns {
+                Some(decode_ns) => {
+                    let start = Instant::now();
+                    let decoded = decode_frame_into(&pkt.payload, &mut holder.snapshot);
+                    decode_ns.record(start.elapsed().as_nanos() as u64);
+                    decoded
+                }
+                None => decode_frame_into(&pkt.payload, &mut holder.snapshot),
+            };
+            match decoded {
+                Ok(()) => {
+                    self.obs.frames_delivered.inc();
+                    self.obs.window(in_window).1.inc();
+                    self.tracer
+                        .record(id, TraceStage::Decode, now.as_micros(), pkt.len() as u64);
+                    let captured_at = holder.snapshot.time;
+                    let age_us = now.saturating_since(captured_at).as_micros();
+                    if let Some(h) = &self.obs.frame_age_us {
+                        h.record(age_us);
+                    }
+                    if let Some(tl) = self.timeline.as_mut() {
+                        // Exact glass-to-glass decomposition in integer µs:
+                        // encode (capture → link send) + queue + propagation
+                        // + display (release → delivering tick) == age.
+                        let encode = pkt.sent_at.saturating_since(captured_at).as_micros();
+                        let queue = pkt.queued.as_micros();
+                        let prop = pkt.propagation.as_micros();
+                        let display = age_us.saturating_sub(encode + queue + prop);
+                        tl.window_mut(now.as_micros())
+                            .record_frame(age_us, encode, queue, prop, display);
+                    }
+                    self.tracer
+                        .record(id, TraceStage::Display, now.as_micros(), age_us);
+                    self.last_displayed_frame = Some(pkt.seq);
+                    holder.captured_at = captured_at;
+                    holder.received_at = now;
+                    operator.on_frame(holder);
+                }
+                Err(_) => {
+                    self.obs.frames_corrupted.inc();
+                    self.obs.window(in_window).3.inc();
+                    self.tracer.record(
+                        id,
+                        TraceStage::DecodeFailed,
+                        now.as_micros(),
+                        pkt.len() as u64,
+                    );
+                    // Keep the holder for the next decode attempt.
+                    self.spare_frame = Some(holder);
+                    operator.on_bad_frame(now);
                 }
             }
         }
-        self.cmd_window.push_back(false); // delivered
-        while self.cmd_window.len() > WINDOW {
-            self.cmd_window.pop_front();
-        }
-        self.highest_cmd_seq = Some(self.highest_cmd_seq.map_or(seq, |p| p.max(seq)));
     }
 
-    pub(crate) fn mark_incident(
+    /// Stage 6 — operator/driving: samples the operator's controls at the
+    /// station's command rate, sequences the command and encodes it into a
+    /// checksummed packet for the downlink. The command's emit event
+    /// carries the sequence number of the last displayed frame — the frame
+    /// → reaction → command causal link.
+    fn operator(
         &mut self,
-        kind: IncidentKind,
-        time: SimTime,
-        stage: TraceStage,
-        arg: u64,
-    ) {
-        let n = self.incident_seq;
-        self.incident_seq += 1;
-        self.tracer
-            .record(TraceId::incident(n), stage, time.as_micros(), arg);
-        self.incidents.push(IncidentMark { kind, time });
+        operator: &mut dyn OperatorSubsystem,
+        now: SimTime,
+        in_window: bool,
+    ) -> Packet {
+        let control = operator.command(now);
+        let seq = self.cmd_seq;
+        self.cmd_seq += 1;
+        self.obs.commands_sent.inc();
+        self.obs.window(in_window).0.inc();
+        self.tracer.record(
+            TraceId::command(seq),
+            TraceStage::CommandEmit,
+            now.as_micros(),
+            self.last_displayed_frame.unwrap_or(u64::MAX),
+        );
+        Packet::new(
+            seq,
+            PacketKind::Command,
+            encode_command_pooled(seq, &control, &self.cmd_pool),
+        )
     }
 
-    /// Mirrors injection-log entries not yet seen as structured recorder
-    /// events (`session.fault`) and fault-edge incident marks, stamped
-    /// with the transition's sim-time.
-    pub(crate) fn sync_fault_events(&mut self) {
-        let seen = self.fault_events_seen;
-        self.fault_events_seen = self.injector.log().len();
-        for i in seen..self.fault_events_seen {
-            let ev = self.injector.log()[i];
-            // Only a live recorder reads the note, so only it pays for one.
-            if self.recorder.enabled() {
-                let note = format!("{} {} {:?}", ev.action, ev.direction, ev.config);
-                self.recorder
-                    .event("session.fault", ev.time.as_micros(), note);
+    /// Stage 7 — downlink (operator → vehicle): offers the step's command
+    /// packet to the downlink NETEM direction and collects whatever the
+    /// link delivers this step.
+    fn downlink(&mut self, command: Packet, now: SimTime) {
+        // `packets` was drained by the uplink; restage it with the step's
+        // command instead of collecting a fresh one-element vec.
+        self.packets.push(command);
+        self.link
+            .downlink
+            .transfer_into(&mut self.packets, now, &mut self.arrived_cmds);
+    }
+
+    /// Stage 8 — command actuation: decodes every delivered command
+    /// (rejecting corrupted ones by checksum), feeds the vehicle-side QoS
+    /// estimate and applies the control to the plant. Also closes the
+    /// step's fault-window drop accounting.
+    fn actuate(&mut self, now: SimTime, in_window: bool, dropped_before: u64) {
+        /// Deliveries and misses the vehicle-side loss estimate spans.
+        const CMD_WINDOW: usize = 100;
+        for pkt in self.arrived_cmds.drain(..) {
+            let id = pkt.trace_id();
+            match decode_command(&pkt.payload) {
+                Ok((cmd_seq, ctrl)) => {
+                    self.obs.commands_delivered.inc();
+                    self.obs.window(in_window).1.inc();
+                    let age_us = now.saturating_since(pkt.sent_at).as_micros();
+                    if let Some(h) = &self.obs.command_age_us {
+                        h.record(age_us);
+                    }
+                    if let Some(tl) = self.timeline.as_mut() {
+                        let delayed = pkt.queued + pkt.propagation > SimDuration::ZERO;
+                        tl.window_mut(now.as_micros())
+                            .record_command(age_us, delayed);
+                    }
+                    self.tracer
+                        .record(id, TraceStage::Actuate, now.as_micros(), age_us);
+                    // Every sequence number skipped since the highest one
+                    // delivered counts as a miss.
+                    if let Some(prev) = self.highest_cmd_seq {
+                        if cmd_seq > prev {
+                            for _ in 0..(cmd_seq - prev - 1).min(CMD_WINDOW as u64) {
+                                self.cmd_window.push_back(true);
+                            }
+                        }
+                    }
+                    self.cmd_window.push_back(false);
+                    while self.cmd_window.len() > CMD_WINDOW {
+                        self.cmd_window.pop_front();
+                    }
+                    self.highest_cmd_seq =
+                        Some(self.highest_cmd_seq.map_or(cmd_seq, |p| p.max(cmd_seq)));
+                    self.last_cmd_received_at = Some(now);
+                    self.server.apply_command(ctrl);
+                }
+                Err(_) => {
+                    self.obs.commands_corrupted.inc();
+                    self.obs.window(in_window).3.inc();
+                    self.tracer.record(
+                        id,
+                        TraceStage::DecodeFailed,
+                        now.as_micros(),
+                        pkt.len() as u64,
+                    );
+                }
             }
-            // Fault-window edges are trace incidents: arg 1 = rule added
-            // (window opens), 0 = rule deleted (window closes).
-            self.mark_incident(
-                IncidentKind::FaultEdge,
-                ev.time,
-                TraceStage::FaultEdge,
-                matches!(ev.action, InjectionAction::Added) as u64,
-            );
+        }
+        // Drops happen inside the links' enqueue, so the step's delta is
+        // attributable to the window state latched by the fault stage.
+        let dropped_after = self.link.uplink.stats().dropped + self.link.downlink.stats().dropped;
+        self.obs
+            .window(in_window)
+            .2
+            .add(dropped_after - dropped_before);
+    }
+
+    /// Stage 9 — safety stack: lets an installed vehicle-side safety stack
+    /// override the active command based on the QoS estimate — every step,
+    /// not only when a command arrives (watchdogs act precisely when
+    /// nothing arrives). A no-op when no stack is installed, as in the
+    /// paper's setup.
+    fn safety(&mut self, now: SimTime) {
+        if self.safety_stack.is_none() {
+            return;
+        }
+        let qos = self.qos_estimate();
+        let world = self.server.world();
+        let speed = world
+            .ego_id()
+            .map(|id| world.actor(id).state().speed)
+            .unwrap_or_default();
+        let active = self.server.active_command();
+        if let Some(stack) = self.safety_stack.as_mut() {
+            let effective = stack.apply(now, &qos, active, speed);
+            if effective != active {
+                self.server.apply_command(effective);
+            }
         }
     }
 
-    pub(crate) fn sample(&mut self, now: SimTime) {
+    /// Stage 10 — logging: appends the step's ego/other samples to the run
+    /// log, runs the TTC breach-entry edge detector, folds the step into
+    /// the timeline and drains collisions and lane invasions into incident
+    /// marks.
+    fn logging(&mut self, now: SimTime) {
         let world = self.server.world();
         let Some(ego_id) = world.ego_id() else { return };
         let ego = world.actor(ego_id);
@@ -513,6 +1031,39 @@ impl SessionCore {
         }
     }
 
+    fn mark_incident(&mut self, kind: IncidentKind, time: SimTime, stage: TraceStage, arg: u64) {
+        let n = self.incident_seq;
+        self.incident_seq += 1;
+        self.tracer
+            .record(TraceId::incident(n), stage, time.as_micros(), arg);
+        self.incidents.push(IncidentMark { kind, time });
+    }
+
+    /// Mirrors injection-log entries not yet seen as structured recorder
+    /// events (`session.fault`) and fault-edge incident marks, stamped
+    /// with the transition's sim-time.
+    fn sync_fault_events(&mut self) {
+        let seen = self.fault_events_seen;
+        self.fault_events_seen = self.injector.log().len();
+        for i in seen..self.fault_events_seen {
+            let ev = self.injector.log()[i];
+            // Only a live recorder reads the note, so only it pays for one.
+            if self.recorder.enabled() {
+                let note = format!("{} {} {:?}", ev.action, ev.direction, ev.config);
+                self.recorder
+                    .event("session.fault", ev.time.as_micros(), note);
+            }
+            // Fault-window edges are trace incidents: arg 1 = rule added
+            // (window opens), 0 = rule deleted (window closes).
+            self.mark_incident(
+                IncidentKind::FaultEdge,
+                ev.time,
+                TraceStage::FaultEdge,
+                matches!(ev.action, InjectionAction::Added) as u64,
+            );
+        }
+    }
+
     /// Folds this tick's link deltas, safety signals and fault bits into
     /// the timeline window containing `now`. Called once per step from the
     /// logging stage; a no-op unless the timeline is enabled.
@@ -577,357 +1128,6 @@ impl SessionCore {
     }
 }
 
-/// A human-in-the-loop RDS test session (Fig. 3 of the paper): the
-/// simulator server streams frames through the emulated network to the
-/// operator; the operator's commands stream back through the same faults.
-///
-/// The session is a thin composition — shared state plus an ordered
-/// [`Stage`] list ([`default_stages`](Self::default_stages)); one
-/// [`step`](Self::step) runs the list once. The stage list can be
-/// inspected and customised ([`stage_names`](Self::stage_names),
-/// [`replace_stage`](Self::replace_stage),
-/// [`insert_stage_after`](Self::insert_stage_after)) to slot in new
-/// link, codec or operator variants without touching the core loop.
-#[derive(Debug)]
-pub struct RdsSession {
-    pub(crate) core: SessionCore,
-    pub(crate) stages: Vec<TimedStage>,
-    pub(crate) scratch: StepScratch,
-}
-
-impl RdsSession {
-    /// The fixed simulation step, 20 ms: the session steps at 50 Hz and
-    /// the station sends one command per step.
-    pub const DT: SimDuration = SimDuration::from_millis(20);
-
-    /// Creates a session around a world with a spawned ego vehicle,
-    /// running the default stage pipeline.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the world has no ego vehicle.
-    pub fn new(world: World, config: RdsSessionConfig, seed: u64) -> Self {
-        let recorder = config.recorder;
-        let tracer = config.tracer;
-        let mut server = SimulatorServer::new(world, config.camera, seed);
-        server.set_recorder(&recorder);
-        let mut link = DuplexLink::new(seed ^ 0x6E65_7431);
-        link.attach_recorder(&recorder);
-        link.attach_tracer(&tracer);
-        let obs = SessionObs::new(&recorder);
-        let mut session = RdsSession {
-            core: SessionCore {
-                server,
-                link,
-                injector: FaultInjector::new(),
-                log: RunLog::new(),
-                recorder,
-                tracer,
-                obs,
-                fault_events_seen: 0,
-                frame_seq: 0,
-                cmd_seq: 0,
-                incidents: Vec::new(),
-                incident_seq: 0,
-                ttc_breached: false,
-                last_displayed_frame: None,
-                safety: None,
-                cmd_pool: bytes::BufPool::with_slot_capacity(crate::COMMAND_PACKET_BYTES),
-                last_cmd_received_at: None,
-                highest_cmd_seq: None,
-                cmd_window: std::collections::VecDeque::new(),
-                timeline: config.timeline.then(Timeline::default),
-                tl_taps: TimelineTaps::default(),
-            },
-            stages: Vec::new(),
-            scratch: StepScratch::default(),
-        };
-        session.stages = Self::default_stages()
-            .into_iter()
-            .map(|stage| session.core.timed(stage))
-            .collect();
-        session
-    }
-
-    /// The default stage pipeline, in execution order: fault clock,
-    /// vehicle physics, sensing/capture, uplink, display, operator,
-    /// downlink, actuation, safety stack, logging.
-    pub fn default_stages() -> Vec<Box<dyn Stage>> {
-        vec![
-            Box::new(FaultWindowStage),
-            Box::new(VehicleStage),
-            Box::new(CaptureStage),
-            Box::new(UplinkStage),
-            Box::new(DisplayStage),
-            Box::new(OperatorStage),
-            Box::new(DownlinkStage),
-            Box::new(ActuateStage),
-            Box::new(SafetyStage),
-            Box::new(LoggingStage),
-        ]
-    }
-
-    /// The pipeline's stage names, in execution order.
-    pub fn stage_names(&self) -> Vec<&'static str> {
-        self.stages.iter().map(|(s, _)| s.name()).collect()
-    }
-
-    /// Replaces the stage called `name` with `stage`, returning `true` if
-    /// a stage by that name existed.
-    pub fn replace_stage(&mut self, name: &str, stage: Box<dyn Stage>) -> bool {
-        match self.stages.iter().position(|(s, _)| s.name() == name) {
-            Some(i) => {
-                self.stages[i] = self.core.timed(stage);
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Inserts `stage` immediately after the stage called `name`,
-    /// returning `true` if a stage by that name existed.
-    pub fn insert_stage_after(&mut self, name: &str, stage: Box<dyn Stage>) -> bool {
-        match self.stages.iter().position(|(s, _)| s.name() == name) {
-            Some(i) => {
-                self.stages.insert(i + 1, self.core.timed(stage));
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Installs a vehicle-side safety stack (the paper's test setup runs
-    /// without one; this is the hook its methodology exists to evaluate).
-    pub fn set_safety_stack(&mut self, stack: crate::safety::SafetyStack) {
-        self.core.safety = Some(stack);
-    }
-
-    /// The installed safety stack, if any.
-    pub fn safety_stack(&self) -> Option<&crate::safety::SafetyStack> {
-        self.core.safety.as_ref()
-    }
-
-    /// The vehicle-side link-quality estimate.
-    pub fn qos_estimate(&self) -> crate::safety::QosEstimate {
-        self.core.qos_estimate()
-    }
-
-    /// The simulated world (read access).
-    pub fn world(&self) -> &World {
-        self.core.server.world()
-    }
-
-    /// Mutable world access for scenario setup between runs.
-    pub fn world_mut(&mut self) -> &mut World {
-        self.core.server.world_mut()
-    }
-
-    /// The vehicle-subsystem server.
-    pub fn server(&self) -> &SimulatorServer {
-        &self.core.server
-    }
-
-    /// Transport statistics so far (a read-out of the live counters).
-    pub fn stats(&self) -> SessionStats {
-        SessionStats {
-            frames_sent: self.core.obs.frames_sent.get(),
-            frames_delivered: self.core.obs.frames_delivered.get(),
-            frames_corrupted: self.core.obs.frames_corrupted.get(),
-            commands_sent: self.core.obs.commands_sent.get(),
-            commands_delivered: self.core.obs.commands_delivered.get(),
-            commands_corrupted: self.core.obs.commands_corrupted.get(),
-        }
-    }
-
-    /// The session's telemetry recorder (null unless one was configured).
-    pub fn recorder(&self) -> &Recorder {
-        &self.core.recorder
-    }
-
-    /// The session's causal tracer (the always-on flight recorder unless
-    /// a null tracer was configured).
-    pub fn tracer(&self) -> &Tracer {
-        &self.core.tracer
-    }
-
-    /// Safety-incident marks emitted so far.
-    pub fn incidents(&self) -> &[IncidentMark] {
-        &self.core.incidents
-    }
-
-    /// The time-resolved timeline recorded so far (None unless enabled
-    /// via [`RdsSessionConfig::timeline`]).
-    pub fn timeline(&self) -> Option<&Timeline> {
-        self.core.timeline.as_ref()
-    }
-
-    /// Takes the recorded timeline out of the session (an empty default
-    /// when the timeline was not enabled). Call before
-    /// [`into_log`](Self::into_log).
-    pub fn take_timeline(&mut self) -> Timeline {
-        self.core.timeline.take().unwrap_or_default()
-    }
-
-    /// Current simulation time.
-    pub fn time(&self) -> SimTime {
-        self.core.time()
-    }
-
-    /// The session step, [`RdsSession::DT`].
-    pub fn dt(&self) -> SimDuration {
-        Self::DT
-    }
-
-    /// Schedules a fault window.
-    ///
-    /// # Errors
-    ///
-    /// Returns the conflicting window on overlap.
-    #[allow(clippy::result_large_err)] // mirrors FaultInjector::schedule
-    pub fn schedule_fault(&mut self, window: InjectionWindow) -> Result<(), InjectionWindow> {
-        self.core.injector.schedule(window)
-    }
-
-    /// Schedules every compiled window of a measured-network trace.
-    ///
-    /// # Errors
-    ///
-    /// Returns the scheduled window that the first conflicting trace
-    /// window overlaps; trace windows before that one stay scheduled.
-    #[allow(clippy::result_large_err)] // mirrors FaultInjector::schedule
-    pub fn schedule_trace(&mut self, trace: &TraceSchedule) -> Result<(), InjectionWindow> {
-        self.core.injector.schedule_trace(trace)
-    }
-
-    /// Injects a rule immediately (test-leader style ad-hoc injection).
-    pub fn inject_now(&mut self, config: NetemConfig) {
-        let now = self.time();
-        self.core
-            .injector
-            .inject_now(&mut self.core.link, config, now);
-        self.core.sync_fault_events();
-    }
-
-    /// Injects a rule on one direction only — the unidirectional variants
-    /// of the related 4G/5G evaluation work.
-    pub fn inject_now_on(&mut self, direction: rdsim_netem::Direction, config: NetemConfig) {
-        let now = self.time();
-        self.core
-            .injector
-            .inject_now_on(&mut self.core.link, direction, config, now);
-        self.core.sync_fault_events();
-    }
-
-    /// Clears the active rule immediately.
-    pub fn clear_fault_now(&mut self) {
-        let now = self.time();
-        self.core.injector.clear_now(&mut self.core.link, now);
-        self.core.sync_fault_events();
-    }
-
-    /// Pre-sizes the session's buffers for a run of (at least) `duration`:
-    /// run-log sample vectors from the step count and the current moving
-    /// vehicles, run-log event vectors and the world's per-step event
-    /// buffers, and the trace ring from the expected frame/command event
-    /// volume (clamped to its bound). Optional — purely an allocation
-    /// optimisation — but after calling it a steady-state
-    /// capture→…→actuate step performs zero heap allocations (see the
-    /// `alloc_regression` suite).
-    pub fn preallocate(&mut self, duration: SimDuration) {
-        let steps = duration.div_steps(Self::DT) as usize;
-        let world = self.core.server.world();
-        let movers = world
-            .actors()
-            .iter()
-            .filter(|a| {
-                Some(a.id()) != world.ego_id()
-                    && a.kind() == ActorKind::Vehicle
-                    && !a.is_stationary_behavior()
-            })
-            .count();
-        self.core.log.reserve_samples(steps, steps * movers);
-        // One collision and one lane invasion per simulated second: the
-        // study's runs log under 0.05 lane invasions per second, and a
-        // driver weaving under stress faults about 0.9.
-        self.core
-            .log
-            .reserve_events(duration.as_micros().div_ceil(1_000_000) as usize);
-        self.core.server.world_mut().reserve_step_events();
-        let frames = (duration.as_secs_f64() * self.core.server.camera_config().max_fps.get())
-            .ceil() as usize
-            + 1;
-        // Per frame: capture, encode, netem enqueue/deliver, decode,
-        // display (+ duplicates); per step: command emit, enqueue,
-        // deliver, actuate. Headroom of 2× covers duplication faults.
-        self.core.tracer.preallocate(2 * (frames * 6 + steps * 4));
-        // Delay-queue headroom: worst-case in-flight under the paper's
-        // fault matrix is a few packets per direction; 64 makes heap
-        // growth impossible at negligible cost (~4 KiB per direction).
-        self.core.link.uplink.reserve(64);
-        self.core.link.downlink.reserve(64);
-        if let Some(tl) = self.core.timeline.as_mut() {
-            tl.preallocate(duration.as_micros());
-        }
-    }
-
-    /// Advances one tick by running every pipeline stage in order.
-    ///
-    /// With a live recorder attached, each stage's wall time is recorded
-    /// into its own `session.stage.<name>_ns` histogram — one sample per
-    /// stage per step. The clock is read once before the first stage and
-    /// once after each, and a stage's sample runs from the previous
-    /// boundary to its own; with the null recorder no clock is read.
-    pub fn step(&mut self, operator: &mut dyn OperatorSubsystem) {
-        self.core.obs.steps.inc();
-        self.scratch.reset();
-        let mut boundary = self.core.recorder.enabled().then(Instant::now);
-        for (stage, ns) in &mut self.stages {
-            stage.advance(&mut StageContext {
-                core: &mut self.core,
-                operator,
-                scratch: &mut self.scratch,
-            });
-            if let (Some(ns), Some(boundary)) = (ns, boundary.as_mut()) {
-                let now = Instant::now();
-                ns.record(now.duration_since(*boundary).as_nanos() as u64);
-                *boundary = now;
-            }
-        }
-    }
-
-    /// Runs for a duration (rounded down to whole steps).
-    pub fn run(&mut self, operator: &mut dyn OperatorSubsystem, duration: SimDuration) {
-        for _ in 0..duration.div_steps(Self::DT) {
-            self.step(operator);
-        }
-    }
-
-    /// Consumes the session, returning the completed run log.
-    pub fn into_log(mut self) -> RunLog {
-        self.core.sync_fault_events();
-        self.core.log.set_faults(self.core.injector.log().to_vec());
-        self.core
-            .log
-            .set_duration(self.time().saturating_since(SimTime::ZERO));
-        // Surface flight-recorder accounting in the run's telemetry so
-        // campaign reports can aggregate it next to `events_dropped`.
-        if self.core.recorder.enabled() && self.core.tracer.enabled() {
-            let overwritten = self.core.tracer.overwritten();
-            self.core
-                .recorder
-                .counter("session.trace.recorded")
-                .add(self.core.tracer.len() as u64 + overwritten);
-            self.core
-                .recorder
-                .counter("session.trace.overwritten")
-                .add(overwritten);
-        }
-        let incidents = std::mem::take(&mut self.core.incidents);
-        self.core.log.set_incidents(incidents);
-        self.core.log
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -954,70 +1154,6 @@ mod tests {
             ..RdsSessionConfig::default()
         };
         RdsSession::new(world, config, seed)
-    }
-
-    #[test]
-    fn default_pipeline_has_the_documented_order() {
-        let s = session_with_lead(1);
-        assert_eq!(
-            s.stage_names(),
-            vec![
-                "fault_window",
-                "vehicle",
-                "capture",
-                "uplink",
-                "display",
-                "operator",
-                "downlink",
-                "actuate",
-                "safety",
-                "logging",
-            ]
-        );
-    }
-
-    #[test]
-    fn replace_and_insert_address_stages_by_name() {
-        /// A stage that counts its invocations (used to prove insertion).
-        #[derive(Debug, Default)]
-        struct ProbeStage {
-            ticks: std::sync::Arc<std::sync::atomic::AtomicU64>,
-        }
-        impl Stage for ProbeStage {
-            fn name(&self) -> &'static str {
-                "probe"
-            }
-            fn span_name(&self) -> &'static str {
-                "session.stage.probe_ns"
-            }
-            fn advance(&mut self, ctx: &mut StageContext<'_>) {
-                // Exercise the public accessors available to external stages.
-                assert!(ctx.time() >= SimTime::ZERO);
-                assert!(ctx.dt() > SimDuration::ZERO);
-                let _ = ctx.world().time();
-                self.ticks
-                    .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            }
-        }
-
-        let mut s = session_with_lead(2);
-        let ticks = std::sync::Arc::new(std::sync::atomic::AtomicU64::new(0));
-        assert!(!s.insert_stage_after("nope", Box::new(ProbeStage::default())));
-        assert!(s.insert_stage_after(
-            "display",
-            Box::new(ProbeStage {
-                ticks: ticks.clone()
-            })
-        ));
-        assert_eq!(s.stage_names()[5], "probe");
-        let mut op = ScriptedOperator::constant(ControlInput::COAST);
-        s.run(&mut op, SimDuration::from_secs(1));
-        assert_eq!(ticks.load(std::sync::atomic::Ordering::Relaxed), 50);
-        // Replacing swaps in place without changing the pipeline length.
-        let len = s.stage_names().len();
-        assert!(s.replace_stage("probe", Box::new(ProbeStage::default())));
-        assert_eq!(s.stage_names().len(), len);
-        assert!(!s.replace_stage("gone", Box::new(ProbeStage::default())));
     }
 
     #[test]
@@ -1157,12 +1293,10 @@ mod tests {
         let mut s = recorded_session_with_lead(8, registry.recorder());
         s.inject_now(PaperFault::Delay50ms.config());
         let mut op = ScriptedOperator::constant(ControlInput::new(0.4, 0.0, 0.0));
+        let started = Instant::now();
         s.run(&mut op, SimDuration::from_secs(4));
+        let wall_ns = started.elapsed().as_nanos();
         let stats = s.stats();
-        let stage_spans: Vec<&'static str> = RdsSession::default_stages()
-            .iter()
-            .map(|stage| stage.span_name())
-            .collect();
         let t = registry.snapshot();
 
         // SessionStats is a read-out of the same counters the registry sees.
@@ -1204,14 +1338,20 @@ mod tests {
         assert_eq!(faults[0].sim_us, 0);
         assert!(faults[0].note.starts_with("added both"));
 
-        // Stage timings: every pipeline stage records exactly one sample
-        // per step under its own histogram.
+        // Stage timings: every stage records exactly one sample per step
+        // under its own histogram, and the laps tile the step without
+        // overlap, so together they fit inside the wall time of `run`.
         let steps = t.counter("session.steps");
-        assert_eq!(stage_spans.len(), 10);
-        for name in stage_spans {
+        let mut staged_ns = 0;
+        for name in STAGE_SPANS {
             let h = t.histogram(name).expect(name);
             assert_eq!(h.count, steps, "{name}");
+            staged_ns += h.sum;
         }
+        assert!(
+            staged_ns <= wall_ns,
+            "stage samples sum to {staged_ns} ns, more than the {wall_ns} ns run"
+        );
 
         // The codec hooks fired for every encode/decode.
         assert_eq!(

@@ -47,12 +47,12 @@ pub trait OperatorSubsystem {
     /// station's command rate (every session step).
     fn command(&mut self, now: SimTime) -> ControlInput;
 
-    /// Hands a no-longer-needed frame back to the pipeline so its
+    /// Hands a no-longer-needed frame back to the session so its
     /// snapshot allocation can be reused for the next decode.
     ///
-    /// Called before a frame delivery whenever the pipeline has no
+    /// Called before a frame delivery whenever the session has no
     /// holder of its own parked (one is parked by a frame that failed to
-    /// decode). Returning `None` — the default — makes the pipeline
+    /// decode). Returning `None` — the default — makes the session
     /// allocate a fresh holder; operators that consume frames immediately
     /// can return their previous one, and operators that buffer frames
     /// (the driver model's percept queues) can return one they have
@@ -71,7 +71,7 @@ pub struct ScriptedOperator {
     bad_frames: u64,
     last_frame_id: Option<u64>,
     /// Most recent frame, kept only so `recycle_frame` can hand its
-    /// allocation back to the pipeline.
+    /// allocation back to the session.
     spare: Option<ReceivedFrame>,
 }
 

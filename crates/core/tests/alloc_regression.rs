@@ -7,26 +7,22 @@
 //! ```
 //!
 //! Installs [`rdsim_obs::CountingAlloc`] as the global allocator, warms a
-//! full remote-driving session (pools, scratch, run log, trace ring, the
+//! full remote-driving session (pools, step buffers, run log, trace ring, the
 //! netem queues, one complete fault window plus the opening edge of a
 //! second), then asserts the steady-state step —
 //! capture → encode → uplink → display → operator → downlink → actuate,
 //! with delay/loss/duplicate/corrupt/reorder faults live — performs
 //! **zero** heap allocations per step — with the null recorder and with a
-//! live one timing every stage and codec call. The per-stage breakdown
-//! (the same wrapper for every pipeline stage) localises any regression
-//! to the stage that caused it.
+//! live one timing every stage and codec call.
 #![cfg(feature = "alloc-count")]
 
-use rdsim_core::{RdsSession, RdsSessionConfig, ScriptedOperator, Stage, StageContext};
+use rdsim_core::{RdsSession, RdsSessionConfig, ScriptedOperator};
 use rdsim_netem::{InjectionWindow, NetemConfig};
 use rdsim_obs::{alloc_counts, Recorder, Registry};
 use rdsim_roadnet::town05;
 use rdsim_simulator::{CameraConfig, World};
 use rdsim_units::{Hertz, Millis, Ratio, SimDuration, SimTime};
 use rdsim_vehicle::{ControlInput, VehicleSpec};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 #[global_allocator]
 static ALLOC: rdsim_obs::CountingAlloc = rdsim_obs::CountingAlloc;
@@ -74,33 +70,19 @@ fn session(recorder: Recorder) -> RdsSession {
     s
 }
 
-/// Wraps a pipeline stage, accumulating the allocator events its
-/// `advance` performs — the breakdown that names the offending stage
-/// when the zero-allocation gate trips.
-#[derive(Debug)]
-struct CountingStage {
-    inner: Box<dyn Stage>,
-    allocs: Arc<AtomicU64>,
-    bytes: Arc<AtomicU64>,
-}
-
-impl Stage for CountingStage {
-    fn name(&self) -> &'static str {
-        self.inner.name()
-    }
-
-    fn span_name(&self) -> &'static str {
-        self.inner.span_name()
-    }
-
-    fn advance(&mut self, ctx: &mut StageContext<'_>) {
-        let before = alloc_counts();
-        self.inner.advance(ctx);
-        let spent = alloc_counts().since(before);
-        self.allocs.fetch_add(spent.allocs, Ordering::Relaxed);
-        self.bytes.fetch_add(spent.bytes, Ordering::Relaxed);
-    }
-}
+/// The session step's ten stage histograms.
+const STAGE_SPANS: [&str; 10] = [
+    "session.stage.fault_window_ns",
+    "session.stage.vehicle_ns",
+    "session.stage.capture_ns",
+    "session.stage.uplink_ns",
+    "session.stage.display_ns",
+    "session.stage.operator_ns",
+    "session.stage.downlink_ns",
+    "session.stage.actuate_ns",
+    "session.stage.safety_ns",
+    "session.stage.logging_ns",
+];
 
 /// Both recorder cases run in this one test, one after the other: the
 /// allocator counters are process-wide, so a second test running on
@@ -110,46 +92,23 @@ fn steady_state_step_allocates_nothing() {
     assert_steady_state_allocates_nothing(session(Recorder::null()));
 
     // A live recorder resolves its stage and codec histograms when the
-    // session (or a replaced stage) is built, so timing adds no
-    // allocation.
+    // session is built, so timing adds no allocation.
     let registry = Registry::new();
     assert_steady_state_allocates_nothing(session(registry.recorder()));
     let telemetry = registry.snapshot();
     let steps = WARMUP_STEPS + MEASURE_STEPS;
-    for stage in RdsSession::default_stages() {
-        let timed = telemetry.histogram(stage.span_name()).map(|h| h.count);
-        assert_eq!(timed, Some(steps), "{}", stage.span_name());
+    for name in STAGE_SPANS {
+        let timed = telemetry.histogram(name).map(|h| h.count);
+        assert_eq!(timed, Some(steps), "{name}");
     }
 }
 
 fn assert_steady_state_allocates_nothing(mut s: RdsSession) {
-    // Shadow every stage with a counting wrapper (same order, same
-    // behaviour — the wrapper only reads the allocator counters).
-    let mut meters: Vec<(&'static str, Arc<AtomicU64>, Arc<AtomicU64>)> = Vec::new();
-    for stage in RdsSession::default_stages() {
-        let allocs = Arc::new(AtomicU64::new(0));
-        let bytes = Arc::new(AtomicU64::new(0));
-        let name = stage.name();
-        assert!(s.replace_stage(
-            name,
-            Box::new(CountingStage {
-                inner: stage,
-                allocs: allocs.clone(),
-                bytes: bytes.clone(),
-            }),
-        ));
-        meters.push((name, allocs, bytes));
-    }
-
     let mut operator = ScriptedOperator::constant(ControlInput::new(0.3, 0.0, 0.0));
     for _ in 0..WARMUP_STEPS {
         s.step(&mut operator);
     }
 
-    for (_, allocs, bytes) in &meters {
-        allocs.store(0, Ordering::Relaxed);
-        bytes.store(0, Ordering::Relaxed);
-    }
     let start = alloc_counts();
     for _ in 0..MEASURE_STEPS {
         s.step(&mut operator);
@@ -166,23 +125,10 @@ fn assert_steady_state_allocates_nothing(mut s: RdsSession) {
         .gauge("session.alloc_bytes_per_step")
         .set(spent.bytes as f64 / MEASURE_STEPS as f64);
 
-    let breakdown: Vec<String> = meters
-        .iter()
-        .map(|(name, allocs, bytes)| {
-            format!(
-                "{name}: {} allocs / {} B",
-                allocs.load(Ordering::Relaxed),
-                bytes.load(Ordering::Relaxed)
-            )
-        })
-        .collect();
     assert_eq!(
-        spent.allocs,
-        0,
-        "steady-state datapath allocated {} times ({} B) over {MEASURE_STEPS} steps;\n  {}",
-        spent.allocs,
-        spent.bytes,
-        breakdown.join("\n  ")
+        spent.allocs, 0,
+        "steady-state datapath allocated {} times ({} B) over {MEASURE_STEPS} steps",
+        spent.allocs, spent.bytes
     );
 
     // The session still works after the measured window (sanity).

@@ -5,8 +5,8 @@
 //! `ProtocolDriver`, then alternate the driver's per-tick scenario
 //! direction (`pre_step`: progress accounting, the test leader's
 //! instructions, lead-vehicle phase scripting and point-of-interest fault
-//! injection) with one [`RdsSession::step`] of the pipeline until the
-//! driver retires the run.
+//! injection) with one [`RdsSession::step`] until the driver retires the
+//! run.
 
 use crate::{CourseMap, ScenarioPlan};
 use rdsim_core::{PaperFault, RdsSession, RdsSessionConfig, RunKind, RunRecord, ScheduledFault};

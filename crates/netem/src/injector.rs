@@ -124,6 +124,11 @@ pub struct FaultInjector {
     /// An ad-hoc (unscheduled) rule is currently applied via
     /// [`FaultInjector::inject_now`] / [`FaultInjector::inject_now_on`].
     adhoc_active: bool,
+    /// The end of the last scheduled window that
+    /// [`clear_now`](Self::clear_now) closed early. No window that ends
+    /// by then opens again: windows do not overlap, so the cleared one is
+    /// the only such window that can still contain a later `now`.
+    cleared_until: SimTime,
 }
 
 impl FaultInjector {
@@ -222,7 +227,11 @@ impl FaultInjector {
             while self.windows.get(self.next).is_some_and(|w| w.end() <= now) {
                 self.next += 1;
             }
-            if let Some(&w) = self.windows.get(self.next).filter(|w| w.contains(now)) {
+            if let Some(&w) = self
+                .windows
+                .get(self.next)
+                .filter(|w| w.contains(now) && w.end() > self.cleared_until)
+            {
                 link.set_both(w.config);
                 self.log.push(InjectionEvent {
                     time: now.max(w.start),
@@ -264,6 +273,12 @@ impl FaultInjector {
     }
 
     /// Immediately clears the active rule and logs the deletion.
+    ///
+    /// An ad-hoc rule is cleared on its own: a scheduled window it
+    /// overrode opens again at the next [`advance`](Self::advance) if it
+    /// is still running. An open scheduled window with no ad-hoc rule on
+    /// top stays closed for the rest of its span; later windows still
+    /// open.
     pub fn clear_now(&mut self, link: &mut DuplexLink, now: SimTime) {
         let config = *link.uplink.config();
         link.set_both(NetemConfig::passthrough());
@@ -273,7 +288,9 @@ impl FaultInjector {
             action: InjectionAction::Deleted,
             direction: Direction::Both,
         });
-        self.active = None;
+        if let Some(w) = self.active.take().filter(|_| !self.adhoc_active) {
+            self.cleared_until = w.end();
+        }
         self.adhoc_active = false;
     }
 
@@ -481,5 +498,66 @@ mod tests {
         assert_eq!(inj.log()[1].time, SimTime::from_secs(20));
         assert_eq!(inj.log()[1].action, InjectionAction::Deleted);
         assert_eq!(inj.log()[1].config, delay_rule(50.0));
+    }
+
+    #[test]
+    fn a_cleared_window_stays_closed_for_the_rest_of_its_span() {
+        let mut link = DuplexLink::new(1);
+        let mut inj = FaultInjector::new();
+        inj.schedule(InjectionWindow::new(
+            SimTime::from_secs(10),
+            SimDuration::from_secs(10),
+            delay_rule(50.0),
+        ))
+        .unwrap();
+        inj.schedule(InjectionWindow::new(
+            SimTime::from_secs(30),
+            SimDuration::from_secs(1),
+            delay_rule(25.0),
+        ))
+        .unwrap();
+        inj.advance(&mut link, SimTime::from_secs(12));
+        inj.clear_now(&mut link, SimTime::from_secs(13));
+        for now in [SimTime::from_millis(13_020), SimTime::from_secs(25)] {
+            inj.advance(&mut link, now);
+            assert!(!inj.fault_active(), "{now}");
+            assert!(link.uplink.config().is_passthrough(), "{now}");
+            assert!(link.downlink.config().is_passthrough(), "{now}");
+        }
+        inj.advance(&mut link, SimTime::from_secs(30));
+        inj.advance(&mut link, SimTime::from_millis(30_500));
+        assert_eq!(link.uplink.config(), &delay_rule(25.0));
+        let log: Vec<_> = inj.log().iter().map(|e| (e.time, e.action)).collect();
+        assert_eq!(
+            log,
+            [
+                (SimTime::from_secs(12), InjectionAction::Added),
+                (SimTime::from_secs(13), InjectionAction::Deleted),
+                (SimTime::from_secs(30), InjectionAction::Added),
+            ]
+        );
+    }
+
+    #[test]
+    fn clearing_an_adhoc_rule_lets_the_open_window_resume() {
+        // A point fault injected over an open window and then cleared
+        // hands the link back to the schedule, as `repro --trace-in`
+        // relies on for faulty runs.
+        let mut link = DuplexLink::new(1);
+        let mut inj = FaultInjector::new();
+        inj.schedule(InjectionWindow::new(
+            SimTime::from_secs(10),
+            SimDuration::from_secs(10),
+            delay_rule(50.0),
+        ))
+        .unwrap();
+        inj.advance(&mut link, SimTime::from_secs(12));
+        inj.inject_now(&mut link, delay_rule(5.0), SimTime::from_secs(13));
+        inj.clear_now(&mut link, SimTime::from_secs(14));
+        inj.advance(&mut link, SimTime::from_millis(14_020));
+        assert_eq!(link.uplink.config(), &delay_rule(50.0));
+        assert_eq!(inj.log().len(), 4);
+        assert_eq!(inj.log()[3].time, SimTime::from_millis(14_020));
+        assert_eq!(inj.log()[3].action, InjectionAction::Added);
     }
 }

@@ -161,11 +161,11 @@ impl Link {
         }
     }
 
-    /// Runs one pipeline-stage worth of traffic: offers `packets` to the
+    /// Runs one session step's worth of traffic: offers `packets` to the
     /// link in order, then drains everything whose delivery time has
     /// arrived. Exactly equivalent to [`send`](Self::send)ing each packet
     /// followed by one [`receive`](Self::receive) — the link direction as
-    /// a single stage of the session pipeline.
+    /// a single stage of the session step.
     pub fn transfer(&mut self, packets: Vec<Packet>, now: SimTime) -> Vec<Packet> {
         for packet in packets {
             self.send(packet, now);

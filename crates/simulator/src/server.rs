@@ -4,7 +4,7 @@ use crate::{frame_len, CameraConfig, CameraSensor, VideoFrame, World, WorldSnaps
 use bytes::BufPool;
 use rdsim_math::RngStream;
 use rdsim_obs::Recorder;
-use rdsim_units::{SimDuration, SimTime};
+use rdsim_units::SimDuration;
 use rdsim_vehicle::ControlInput;
 
 /// Wraps a [`World`] behind the interface the RDS stack talks to: driving
@@ -20,8 +20,6 @@ pub struct SimulatorServer {
     world: World,
     camera: CameraSensor,
     last_command: ControlInput,
-    last_command_at: Option<SimTime>,
-    commands_applied: u64,
     /// Reused scene snapshot the camera encodes from — per-session
     /// scratch so steady-state captures never rebuild the actor list.
     snap_scratch: WorldSnapshot,
@@ -51,8 +49,6 @@ impl SimulatorServer {
                 RngStream::from_seed(seed).substream("server-camera"),
             ),
             last_command: ControlInput::COAST,
-            last_command_at: None,
-            commands_applied: 0,
             snap_scratch: WorldSnapshot::default(),
             frame_pool,
         }
@@ -83,8 +79,6 @@ impl SimulatorServer {
     /// Applies a driving command received from the operator subsystem.
     pub fn apply_command(&mut self, command: ControlInput) {
         self.last_command = command.sanitized();
-        self.last_command_at = Some(self.world.time());
-        self.commands_applied += 1;
     }
 
     /// The command currently being applied.
@@ -92,21 +86,10 @@ impl SimulatorServer {
         self.last_command
     }
 
-    /// Number of commands applied so far.
-    pub fn commands_applied(&self) -> u64 {
-        self.commands_applied
-    }
-
-    /// Time since the last command arrived, if any has.
-    pub fn command_age(&self) -> Option<SimDuration> {
-        self.last_command_at
-            .map(|t| self.world.time().saturating_since(t))
-    }
-
     /// Advances the physics plant by `dt`, applying the active command to
-    /// the ego. The session pipeline runs it as its own stage, ahead of
-    /// [`capture_into`](Self::capture_into), so sensing can be timed and
-    /// swapped independently of plant integration.
+    /// the ego. The session step runs it as its own stage, ahead of
+    /// [`capture_into`](Self::capture_into), so plant integration and
+    /// sensing are timed separately.
     pub fn advance_plant(&mut self, dt: SimDuration) {
         let ego = self.world.ego_id().expect("checked at construction");
         self.world.set_external_control(ego, self.last_command);
@@ -145,7 +128,7 @@ mod tests {
 
     const DT: SimDuration = SimDuration::from_millis(20);
 
-    /// One plant step followed by a capture, as the session pipeline runs
+    /// One plant step followed by a capture, as the session step runs
     /// them.
     fn tick(srv: &mut SimulatorServer) -> Vec<VideoFrame> {
         srv.advance_plant(DT);
@@ -183,7 +166,6 @@ mod tests {
         }
         let ego = srv.world().ego_id().unwrap();
         assert!(srv.world().actor(ego).state().speed.get() > 3.0);
-        assert_eq!(srv.commands_applied(), 1);
         assert_eq!(srv.active_command(), ControlInput::full_throttle());
     }
 
@@ -196,7 +178,7 @@ mod tests {
         for _ in 0..250 {
             tick(&mut srv);
         }
-        assert!(srv.command_age().unwrap() >= SimDuration::from_secs(4));
+        assert_eq!(srv.active_command(), ControlInput::full_throttle());
         let ego = srv.world().ego_id().unwrap();
         assert!(srv.world().actor(ego).state().speed.get() > 10.0);
     }
